@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "drtree/summary.h"
 #include "obs/metrics.h"
 #include "rpc/client.h"
 #include "rpc/service.h"
@@ -149,12 +148,11 @@ void run_net_throughput(benchmark::State& state, std::size_t clients,
   state.counters["p99_us"] = p99;
   state.counters["p999_us"] = p999;
 
-  results::instance().set_headers({"N", "batch", "summary", "events",
-                                   "msgs/event", "deliveries", "fn",
-                                   "clients", "p50_us", "p99_us", "p999_us"});
+  results::instance().set_headers({"N", "batch", "events", "msgs/event",
+                                   "deliveries", "fn", "clients", "p50_us",
+                                   "p99_us", "p999_us"});
   results::instance().add_row(
       {table::cell(kPopulation), table::cell(batch),
-       std::string(drt::overlay::to_string(cfg.backend.dr.summary)),
        table::cell(total_events), table::cell(msgs_per_event, 2),
        table::cell(deliveries), table::cell(false_negatives),
        table::cell(clients), table::cell(p50, 1), table::cell(p99, 1),

@@ -25,7 +25,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "drtree/summary.h"
 #include "spatial/types.h"
 #include "util/expect.h"
 
@@ -38,11 +37,6 @@ struct instance {
   spatial::peer_id parent = spatial::kNoPeer;
   spatial::box mbr = spatial::box::empty();
   bool underloaded = false;
-
-  /// Coarse occupancy summary of the filter set below this instance
-  /// (DESIGN.md §9) — consulted by the publish fan-out when
-  /// dr_config::summary enables it, absent (k == 0) otherwise.
-  subtree_summary summary{};
 
   // §3.2 "Dynamic Reorganizations": false positives experienced by this
   // instance, and the false positives each child *would* have experienced
@@ -160,7 +154,6 @@ class instance_arena {
     ins.parent = spatial::kNoPeer;
     ins.mbr = spatial::box::empty();
     ins.underloaded = false;
-    ins.summary.clear();
     ins.fp_self = 0;
     ins.events_seen = 0;
     ins.fp_child_would.clear();

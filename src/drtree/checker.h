@@ -47,13 +47,6 @@ struct check_report {
   std::size_t memory_links = 0;
   std::size_t max_peer_links = 0;  ///< worst single peer
 
-  /// Subtree-summary soundness (DESIGN.md §9): instances whose occupancy
-  /// summary fails to over-approximate some live reachable leaf filter
-  /// below them.  Any nonzero count means the summary could prune an
-  /// event a subscriber matches — a structural false negative — so each
-  /// one is also a legality violation.  Always 0 when summaries are off.
-  std::size_t summary_violations = 0;
-
   // Property 3.1 / 3.2 accounting (over strictly-contained filter pairs).
   std::size_t containment_pairs = 0;
   std::size_t weak_violations = 0;    ///< containee top is ancestor of container top

@@ -4,7 +4,6 @@
 
 #include <cstddef>
 
-#include "drtree/summary.h"
 #include "obs/trace.h"
 #include "rtree/split.h"
 #include "sim/simulator.h"
@@ -114,19 +113,6 @@ struct dr_config {
 
   /// The workspace used to clamp unbounded filters for area heuristics.
   spatial::box workspace = geo::make_rect2(0, 0, 1000, 1000);
-
-  /// Publish-path subtree summaries (DESIGN.md §9).  `mbr` is the paper's
-  /// routing, bit-for-bit; `grid`/`both` additionally maintain a k×k
-  /// occupancy bitmap per instance so the event fan-out can prune a
-  /// non-matching subtree with one bit probe.  Maintenance is incremental
-  /// (join paths OR their delta in; full rebuilds piggyback on the
-  /// CHECK_MBR stabilizer) — no extra message round ever.
-  summary_mode summary = summary_mode::mbr;
-
-  /// Occupancy-grid resolution k (k×k cells, 1..8) when summaries are
-  /// enabled.  Higher k prunes more dead space per instance; k*k bits
-  /// must fit the inline 64-bit word.
-  std::size_t summary_grid = 8;
 
   /// When true, joins are routed up to the root before descending (the
   /// paper's default: "the odds of finding a good position ... are best

@@ -236,43 +236,8 @@ void dr_overlay::record_delivery(std::uint64_t event_id, peer_id p,
 publish_result dr_overlay::publish_and_drain(peer_id publisher,
                                              const spatial::pt& value,
                                              std::uint64_t max_steps) {
-  const auto event_id = next_event_id();
-  const auto msgs_before = sim_.metrics().messages_sent;
-  publish_begin(publisher, event_id, value);
-  sim_.run_steps(max_steps);
-  return publish_finish(event_id, value, msgs_before);
-}
-
-void dr_overlay::publish_begin(peer_id publisher, std::uint64_t event_id,
-                               const spatial::pt& value) {
-  DRT_EXPECT(alive(publisher));
-  trace_emit(obs::trace_kind::publish, publisher, event_id);
-  spatial::event ev;
-  ev.id = event_id;
-  ev.publisher = publisher;
-  ev.value = value;
-  peer(publisher).publish(ev);
-}
-
-void dr_overlay::inject_publish(std::uint64_t event_id,
-                                const spatial::pt& value) {
-  // Entry point: the first live root fragment, else any live peer.
-  peer_id target = kNoPeer;
-  for_each_live([&](peer_id id) {
-    if (target == kNoPeer) target = id;
-    if (peer(id).is_root()) {
-      target = id;
-      return false;
-    }
-    return true;
-  });
-  if (target == kNoPeer) return;  // empty shard: nothing to deliver
-  trace_emit(obs::trace_kind::publish, target, event_id);
-  spatial::event ev;
-  ev.id = event_id;
-  ev.publisher = target;
-  ev.value = value;
-  peer(target).publish(ev);
+  return std::move(multi_publish_and_drain(publisher, &value, 1, max_steps)
+                       .front());
 }
 
 publish_result dr_overlay::publish_finish(std::uint64_t event_id,
@@ -355,23 +320,14 @@ void dr_overlay::multi_publish_begin(peer_id publisher,
                                      const spatial::pt* values,
                                      std::size_t n) {
   DRT_EXPECT(alive(publisher));
-  if (n == 0) return;
-  std::vector<spatial::event> evs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    evs[i].id = event_ids[i];
-    evs[i].publisher = publisher;
-    evs[i].value = values[i];
-    trace_emit(obs::trace_kind::publish, publisher, event_ids[i]);
-  }
-  peer(publisher).multi_publish(evs.data(), n);
+  publish_from(publisher, event_ids, values, n);
 }
 
 void dr_overlay::inject_multi_publish(const std::uint64_t* event_ids,
                                       const spatial::pt* values,
                                       std::size_t n) {
   if (n == 0) return;
-  // Same entry-point choice as inject_publish: the first live root
-  // fragment, else any live peer.
+  // Entry point: the first live root fragment, else any live peer.
   peer_id target = kNoPeer;
   for_each_live([&](peer_id id) {
     if (target == kNoPeer) target = id;
@@ -382,14 +338,17 @@ void dr_overlay::inject_multi_publish(const std::uint64_t* event_ids,
     return true;
   });
   if (target == kNoPeer) return;  // empty shard: nothing to deliver
-  std::vector<spatial::event> evs(n);
+  publish_from(target, event_ids, values, n);
+}
+
+void dr_overlay::publish_from(peer_id entry, const std::uint64_t* event_ids,
+                              const spatial::pt* values, std::size_t n) {
+  publish_scratch_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    evs[i].id = event_ids[i];
-    evs[i].publisher = target;
-    evs[i].value = values[i];
-    trace_emit(obs::trace_kind::publish, target, event_ids[i]);
+    publish_scratch_.push_back({event_ids[i], entry, values[i]});
+    trace_emit(obs::trace_kind::publish, entry, event_ids[i]);
   }
-  peer(target).multi_publish(evs.data(), n);
+  peer(entry).multi_publish(publish_scratch_.data(), n);
 }
 
 // ------------------------------------------------------------ dirty set

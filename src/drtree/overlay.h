@@ -140,29 +140,11 @@ class dr_overlay {
 
   // ----------------------------------------------------- dissemination
   /// Publish from `publisher` and drain the network; returns accuracy and
-  /// cost accounting against brute-force ground truth.
+  /// cost accounting against brute-force ground truth.  The batch of one
+  /// of multi_publish_and_drain.
   publish_result publish_and_drain(spatial::peer_id publisher,
                                    const spatial::pt& value,
                                    std::uint64_t max_steps = 1000000);
-
-  // Split publication path for callers that own the drive loop (the
-  // sharded kernel backend publishes in one shard, injects into the
-  // others, drains them all at kernel barriers, then collects per-shard
-  // accounting).  publish_and_drain == begin + run_steps + finish.
-  /// Start a publication with a caller-allocated event id; no draining.
-  void publish_begin(spatial::peer_id publisher, std::uint64_t event_id,
-                     const spatial::pt& value);
-  /// Inject an externally published event into this overlay's tree: it
-  /// enters at the root (first live root fragment, else any live peer)
-  /// and disseminates as if published there.  The entry peer records a
-  /// delivery unconditionally — up to one extra false positive per
-  /// injected shard, the documented cost of cross-shard fan-out.
-  void inject_publish(std::uint64_t event_id, const spatial::pt& value);
-  /// Accuracy/cost accounting for `event_id` after the caller drained;
-  /// `messages_before` is sim().metrics().messages_sent at begin time.
-  publish_result publish_finish(std::uint64_t event_id,
-                                const spatial::pt& value,
-                                std::uint64_t messages_before);
 
   /// Publish all `values` from one publisher as batch envelopes (DESIGN.md
   /// §9) and drain; per-event accounting is identical to publishing each
@@ -173,13 +155,27 @@ class dr_overlay {
       spatial::peer_id publisher, const spatial::pt* values, std::size_t n,
       std::uint64_t max_steps = 1000000);
 
-  // Split batch path, mirroring publish_begin/inject_publish for the
-  // sharded kernel backend.  event_ids[i] pairs with values[i].
+  // Split publication path for callers that own the drive loop (the
+  // sharded kernel backend publishes in one shard, injects into the
+  // others, drains them all at kernel barriers, then collects per-shard
+  // accounting).  multi_publish_and_drain == begin + run_steps + finish
+  // per event.  event_ids[i] pairs with values[i].
+  /// Start a publication with caller-allocated event ids; no draining.
   void multi_publish_begin(spatial::peer_id publisher,
                            const std::uint64_t* event_ids,
                            const spatial::pt* values, std::size_t n);
+  /// Inject externally published events into this overlay's tree: they
+  /// enter at the root (first live root fragment, else any live peer)
+  /// and disseminate as if published there.  The entry peer records a
+  /// delivery unconditionally — up to one extra false positive per
+  /// injected shard, the documented cost of cross-shard fan-out.
   void inject_multi_publish(const std::uint64_t* event_ids,
                             const spatial::pt* values, std::size_t n);
+  /// Accuracy/cost accounting for `event_id` after the caller drained;
+  /// `messages_before` is sim().metrics().messages_sent at begin time.
+  publish_result publish_finish(std::uint64_t event_id,
+                                const spatial::pt& value,
+                                std::uint64_t messages_before);
 
   /// Record that `p` received event `id` after `hop` messages (called by
   /// peers).
@@ -313,6 +309,10 @@ class dr_overlay {
   /// Reachability changed globally (partition installed or healed):
   /// every live peer must re-check against the new oracle.
   void mark_all_live();
+  /// Hand `values` to `entry` as events it publishes (shared tail of
+  /// multi_publish_begin and inject_multi_publish).
+  void publish_from(spatial::peer_id entry, const std::uint64_t* event_ids,
+                    const spatial::pt* values, std::size_t n);
 
   dr_config config_;
   /// Declared before sim_: the simulator owns the dr_peer processes,
@@ -325,6 +325,7 @@ class dr_overlay {
   /// restart() re-indexes them.
   std::unordered_set<spatial::peer_id> departed_;
   mutable std::vector<spatial::peer_id> match_scratch_;
+  std::vector<spatial::event> publish_scratch_;  ///< publish_from's events
   std::uint64_t next_event_id_ = 1;
   std::unordered_map<std::uint64_t, std::unordered_set<spatial::peer_id>>
       deliveries_;

@@ -126,15 +126,13 @@ class dr_peer : public sim::process {
   /// rejoin through the oracle.  The caller crashes the process.
   void leave_with_handoff();
 
-  /// Publish an event (§2.3/§3 dissemination).
-  void publish(const spatial::event& ev);
-
-  /// Publish `n` events as batch envelopes (DESIGN.md §9): the whole
-  /// batch is routed once and split only where children's admit sets
+  /// Publish `n` events (§2.3/§3 dissemination; DESIGN.md §9): the
+  /// batch climbs to the root and descends every sibling subtree whose
+  /// MBR holds at least one of its events, splitting only where children
   /// diverge, so k co-located events cost one tree traversal instead of
-  /// k.  Per-event delivery/dedup semantics are identical to calling
-  /// publish() n times on a quiescent tree.  Batches larger than
-  /// dr_batch_msg::kMaxEvents are chunked.
+  /// k.  A scalar publish is the batch of one.  Per-event delivery/dedup
+  /// semantics are those of n single-event publishes on a quiescent tree.
+  /// Batches larger than dr_batch_msg::kMaxEvents are chunked.
   void multi_publish(const spatial::event* evs, std::size_t n);
 
   /// Start a distributed range search: route `query` to the root, then
@@ -167,8 +165,6 @@ class dr_peer : public sim::process {
   void handle_leave(const dr_msg& m);
   void handle_check_structure_msg(const dr_msg& m);
   void handle_initiate_new_connection(const dr_msg& m);
-  void handle_event_up(spatial::peer_id from, const dr_event_msg& m);
-  void handle_event_down(const dr_event_msg& m);
   void handle_batch_up(spatial::peer_id from, const dr_batch_msg& m);
   void handle_batch_down(const dr_batch_msg& m);
   void handle_search_up(const dr_msg& m);
@@ -188,23 +184,6 @@ class dr_peer : public sim::process {
                                      const spatial::box& r) const;
   void compute_mbr(std::size_t h);  // Compute_MBR(p, l)
 
-  // Subtree-summary maintenance (DESIGN.md §9).  rebuild_summary re-frames
-  // and re-rasterizes an instance from its children (leaf: from the
-  // filter); it rides compute_mbr, so the stabilizer's CHECK_MBR probes
-  // double as summary refresh — no extra message round.  When the
-  // recomputed MBR is unchanged the interior rebuild is skipped except
-  // every kSummaryRefreshStride-th time: additions mark eagerly so a
-  // skipped rebuild only delays *tightening* (clearing bits of departed
-  // subtrees), never soundness, and quiescent trees would otherwise pay
-  // a full re-rasterization per instance per stabilize period.
-  // summary_mark is the incremental delta: join paths OR the arriving
-  // subtree's MBR in without a rebuild.  Both are no-ops when
-  // dr_config::summary == summary_mode::mbr.
-  void rebuild_summary(std::size_t h);
-  void summary_mark(instance& ins, const spatial::box& b);
-  /// The fan-out admit test: MBR containment plus (when enabled) the
-  /// occupancy-bitmap probe.
-  bool admits(const instance& ins, const spatial::pt& v) const;
   bool is_better_mbr_cover(std::size_t h, spatial::peer_id q) const;
   /// Adjust_Parent generalized to keep instance chains contiguous: q
   /// replaces this peer at heights [h, top()].
@@ -237,23 +216,19 @@ class dr_peer : public sim::process {
   /// Returns true when `needy` reached the m bound.
   bool redistribute(std::size_t h, spatial::peer_id needy);
 
-  // Dissemination helpers.  `hop` counts network messages traversed.
+  // Dissemination helpers.  `hop` counts network messages traversed;
+  // an event mask selects events of a batch (bit i = evs[i]).
   void deliver_local(const spatial::event& ev, std::size_t hop);
-  void forward_down(std::size_t h, const spatial::event& ev,
-                    std::size_t hop);
-  /// The sibling fan-out shared by forward_down and handle_event_up: push
-  /// `ev` into every child subtree of `ins` (an instance at height `h`)
-  /// that admits it, skipping `skip` — the child the event arrived from
-  /// (kNoPeer when descending, where nothing is skipped).
-  void fan_out_children(const instance& ins, std::size_t h,
-                        const spatial::event& ev, std::size_t hop,
-                        spatial::peer_id skip);
-  /// Batch analogue of fan_out_children + forward_down: push the events
-  /// into every child subtree of the instance at `h`, re-filtering the
-  /// batch against each child's admit test and sending one (smaller)
-  /// envelope per diverging child.  Recurses down the own-instance chain.
+  /// Push the `live` events into every child subtree of the instance at
+  /// `h` whose MBR admits them, skipping `skip` — the child the batch
+  /// arrived from (kNoPeer when descending).  Each child gets one
+  /// envelope holding just its admitted subset; the own-instance chain is
+  /// descended in-process.
   void fan_out_batch(std::size_t h, const spatial::event* evs,
-                     std::uint32_t n, std::size_t hop, spatial::peer_id skip);
+                     std::uint64_t live, std::size_t hop,
+                     spatial::peer_id skip);
+  /// Deliver every event of `m` this peer has not seen; returns their mask.
+  std::uint64_t deliver_fresh(const dr_batch_msg& m);
   bool already_seen(std::uint64_t event_id);
 
   // FP-driven reorganization (§3.2, E15).
@@ -261,10 +236,12 @@ class dr_peer : public sim::process {
   void maybe_reorganize(std::size_t h);
 
   void send_msg(spatial::peer_id to, dr_msg m);
-  void send_event(spatial::peer_id to, const dr_event_msg& m);
-  /// Sends only the used prefix of the batch (bytes_for(count)), so small
-  /// batches ride small pool size classes.
-  void send_batch(spatial::peer_id to, const dr_batch_msg& m);
+  /// Send the events of `mask` as one envelope of kind `kind` addressed
+  /// to height `h`.  Only the used prefix travels (bytes_for(count)), so
+  /// small batches ride small pool size classes.
+  void send_batch(spatial::peer_id to, msg_kind kind, std::size_t h,
+                  std::size_t hops_left, std::size_t hop,
+                  const spatial::event* evs, std::uint64_t mask);
   void rejoin_fragment(std::size_t h);
 
   /// This peer's failure detector: q is alive and no network partition
@@ -309,11 +286,6 @@ class dr_peer : public sim::process {
   // event ids (bounded ring).
   std::vector<std::uint64_t> seen_events_;
   std::size_t seen_cursor_ = 0;
-
-  /// Counts compute_mbr calls that left an interior MBR unchanged; every
-  /// kSummaryRefreshStride-th one still rebuilds the summary so bits of
-  /// departed subtrees eventually clear (see rebuild_summary).
-  std::uint64_t summary_refresh_tick_ = 0;
 
   // Hot-path scratch, reused across messages so the publish/search loops
   // never allocate: the local-descent worklist of handle_search_down and

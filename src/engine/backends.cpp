@@ -135,17 +135,7 @@ sub_id drtree_backend::root() const {
 
 delivery_report drtree_backend::publish(sub_id publisher,
                                         const spatial::pt& value) {
-  const auto r =
-      overlay_->publish_and_drain(static_cast<spatial::peer_id>(publisher),
-                                  value);
-  delivery_report d;
-  d.interested = r.interested;
-  d.delivered = r.delivered;
-  d.false_positives = r.false_positives;
-  d.false_negatives = r.false_negatives;
-  d.messages = r.messages;
-  d.max_hops = r.max_hops;
-  return d;
+  return publish_batch(publisher, &value, 1);
 }
 
 delivery_report drtree_backend::publish_batch(sub_id publisher,
@@ -304,36 +294,7 @@ sub_id sharded_drtree_backend::root() const {
 
 delivery_report sharded_drtree_backend::publish(sub_id publisher,
                                                 const spatial::pt& value) {
-  const auto& sl = at(publisher);
-  const auto event_id = next_event_id_++;
-  std::vector<std::uint64_t> before(overlays_.size(), 0);
-  for (std::size_t i = 0; i < overlays_.size(); ++i) {
-    before[i] = overlays_[i]->sim().metrics().messages_sent;
-  }
-  overlays_[sl.shard]->publish_begin(sl.local, event_id, value);
-  for (std::size_t d = 0; d < overlays_.size(); ++d) {
-    if (d == sl.shard) continue;
-    kernel_.post(sl.shard, d, sizeof(overlay::dr_msg),
-                 [this, d, event_id, value](sim::simulator&) {
-                   overlays_[d]->inject_publish(event_id, value);
-                 });
-  }
-  kernel_.settle();
-
-  delivery_report rep;
-  for (std::size_t i = 0; i < overlays_.size(); ++i) {
-    const auto r = overlays_[i]->publish_finish(event_id, value, before[i]);
-    rep.interested += r.interested;
-    rep.delivered += r.delivered;
-    rep.false_positives += r.false_positives;
-    rep.false_negatives += r.false_negatives;
-    rep.messages += r.messages;
-    rep.max_hops = std::max(rep.max_hops, r.max_hops);
-  }
-  if (overlays_.size() > 1) {
-    rep.messages += overlays_.size() - 1;  // the cross-shard injections
-  }
-  return rep;
+  return publish_batch(publisher, &value, 1);
 }
 
 delivery_report sharded_drtree_backend::publish_batch(

@@ -187,7 +187,6 @@ report_body client::publish_batch(std::uint64_t publisher,
     const auto k =
         std::min<std::size_t>(overlay::dr_batch_msg::kMaxEvents, n - done);
     overlay::dr_batch_msg batch;
-    batch.kind = overlay::msg_kind::batch_down;
     batch.count = static_cast<std::uint32_t>(k);
     for (std::size_t i = 0; i < k; ++i) {
       batch.events[i].id = 0;  // the daemon's overlay allocates ids

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-
-#include "util/expect.h"
 
 namespace drt::util {
 
@@ -27,87 +24,5 @@ double accumulator::variance() const {
 }
 
 double accumulator::stddev() const { return std::sqrt(variance()); }
-
-void sample_set::add(double x) {
-  samples_.push_back(x);
-  sorted_ = false;
-}
-
-void sample_set::sort_if_needed() const {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-}
-
-double sample_set::mean() const {
-  if (samples_.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : samples_) s += x;
-  return s / static_cast<double>(samples_.size());
-}
-
-double sample_set::min() const {
-  sort_if_needed();
-  return samples_.empty() ? 0.0 : samples_.front();
-}
-
-double sample_set::max() const {
-  sort_if_needed();
-  return samples_.empty() ? 0.0 : samples_.back();
-}
-
-double sample_set::percentile(double p) const {
-  DRT_EXPECT(p >= 0.0 && p <= 100.0);
-  if (samples_.empty()) return 0.0;
-  sort_if_needed();
-  if (samples_.size() == 1) return samples_[0];
-  const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(rank));
-  const auto hi = static_cast<std::size_t>(std::ceil(rank));
-  const double frac = rank - std::floor(rank);
-  return samples_[lo] + (samples_[hi] - samples_[lo]) * frac;
-}
-
-histogram::histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  DRT_EXPECT(lo < hi);
-  DRT_EXPECT(buckets > 0);
-}
-
-void histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    auto idx = static_cast<std::size_t>((x - lo_) / width);
-    if (idx >= counts_.size()) idx = counts_.size() - 1;  // fp edge
-    ++counts_[idx];
-  }
-}
-
-double histogram::bucket_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double histogram::bucket_hi(std::size_t i) const {
-  return bucket_lo(i + 1);
-}
-
-std::string histogram::to_string() const {
-  std::ostringstream out;
-  if (underflow_ > 0) out << "(<lo):" << underflow_ << ' ';
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    out << '[' << bucket_lo(i) << ',' << bucket_hi(i) << "):" << counts_[i]
-        << ' ';
-  }
-  if (overflow_ > 0) out << "(>=hi):" << overflow_;
-  return out.str();
-}
 
 }  // namespace drt::util

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <type_traits>
 
 #include "analysis/harness.h"
 #include "analysis/models.h"
@@ -385,12 +387,17 @@ TEST(DrTree, MixedChurnStaysRecoverable) {
 
 // --------------------------------------------- parameterized variations
 
+// gtest prints a parameter with no PrintTo as its raw bytes, and that
+// dump is part of the ctest name. The fields therefore leave no padding
+// and hold no pointer, so every run lists the same names.
 struct variation {
   rtree::split_method split;
+  std::uint32_t leaves = 15;
   std::size_t m;
   std::size_t big_m;
-  const char* name;
+  std::size_t peers = 60;
 };
+static_assert(std::has_unique_object_representations_v<variation>);
 
 class VariationTest : public ::testing::TestWithParam<variation> {};
 
@@ -400,12 +407,14 @@ TEST_P(VariationTest, JoinsLeavesStayLegal) {
   hc.dr.min_children = GetParam().m;
   hc.dr.max_children = GetParam().big_m;
   testbed tb(hc);
-  tb.populate(60);
+  tb.populate(GetParam().peers);
   ASSERT_GE(tb.converge(), 0);
   EXPECT_TRUE(tb.legal());
   auto live = tb.overlay().live_peers();
   tb.workload_rng().shuffle(live);
-  for (int i = 0; i < 15; ++i) tb.overlay().controlled_leave(live[i]);
+  for (std::uint32_t i = 0; i < GetParam().leaves; ++i) {
+    tb.overlay().controlled_leave(live[i]);
+  }
   ASSERT_GE(tb.converge(200), 0);
   const auto r = tb.report();
   EXPECT_TRUE(r.legal()) << r.violations.front();
@@ -416,11 +425,15 @@ TEST_P(VariationTest, JoinsLeavesStayLegal) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, VariationTest,
     ::testing::Values(
-        variation{rtree::split_method::linear, 2, 4, "linear_m2M4"},
-        variation{rtree::split_method::quadratic, 2, 8, "quadratic_m2M8"},
-        variation{rtree::split_method::rstar, 3, 6, "rstar_m3M6"},
-        variation{rtree::split_method::quadratic, 4, 10, "quadratic_m4M10"}),
-    [](const auto& info) { return info.param.name; });
+        variation{.split = rtree::split_method::linear, .m = 2, .big_m = 4},
+        variation{.split = rtree::split_method::quadratic, .m = 2, .big_m = 8},
+        variation{.split = rtree::split_method::rstar, .m = 3, .big_m = 6},
+        variation{.split = rtree::split_method::quadratic, .m = 4, .big_m = 10}),
+    [](const auto& info) {
+      const variation& v = info.param;
+      return std::string(rtree::to_string(v.split)) + "_m" +
+             std::to_string(v.m) + "M" + std::to_string(v.big_m);
+    });
 
 class ElectionTest : public ::testing::TestWithParam<election_policy> {};
 

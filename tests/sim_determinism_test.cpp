@@ -57,8 +57,9 @@ struct scenario_digest {
 };
 
 /// Churn + corruption + dissemination workload over the full overlay
-/// stack, fingerprinted via the simulator trace hook.
-scenario_digest run_scenario(std::uint64_t seed) {
+/// stack, fingerprinted via the simulator trace hook.  Publishes go out
+/// `batch` events per envelope (1 = scalar publish_and_drain).
+scenario_digest run_scenario(std::uint64_t seed, int batch = 1) {
   overlay::dr_config dcfg;
   dcfg.workspace = geo::make_rect2(0, 0, 100, 100);
   sim::simulator_config scfg;
@@ -88,12 +89,19 @@ scenario_digest run_scenario(std::uint64_t seed) {
   for (int i = 0; i < 48; ++i) o.add_peer_and_settle(random_box());
 
   auto publish_some = [&](int count) {
-    for (int i = 0; i < count; ++i) {
+    for (int i = 0; i < count; i += batch) {
       const auto live = o.live_peers();
       const auto pub = live[geo_rng.index(live.size())];
-      const spatial::pt value{
-          {geo_rng.uniform_real(0, 100), geo_rng.uniform_real(0, 100)}};
-      o.publish_and_drain(pub, value);
+      std::vector<spatial::pt> values;
+      for (int j = 0; j < batch && i + j < count; ++j) {
+        values.push_back(
+            {{geo_rng.uniform_real(0, 100), geo_rng.uniform_real(0, 100)}});
+      }
+      if (batch == 1) {
+        o.publish_and_drain(pub, values[0]);
+      } else {
+        o.multi_publish_and_drain(pub, values.data(), values.size());
+      }
     }
   };
 
@@ -171,6 +179,19 @@ TEST(SimDeterminism, MatchesHeapSchedulerGolden) {
   EXPECT_EQ(d11.trace_hash, 10523553348140203879ull);
   EXPECT_EQ(d11.metrics_hash, 1650083232181740924ull);
   EXPECT_EQ(d11.deliveries, 588ull);
+}
+
+// The same scenario with 4-event envelopes (batches of 4, 4, 2 per publish
+// round): pins the multi-event envelope's routing — which children get
+// which subset, in which order — the way the goldens above pin the
+// one-event case.  Recorded when batches still travelled under kinds of
+// their own; with those kinds mapped onto event_up/event_down, that
+// implementation produced these same values.
+TEST(SimDeterminism, BatchEnvelopeGolden) {
+  const auto d7 = run_scenario(7, 4);
+  EXPECT_EQ(d7.trace_hash, 15178632406645706044ull);
+  EXPECT_EQ(d7.metrics_hash, 7963918147588321881ull);
+  EXPECT_EQ(d7.deliveries, 525ull);
 }
 
 // Direct scheduler equivalence: the calendar queue must pop the exact

@@ -166,41 +166,6 @@ TEST(Accumulator, EmptyIsZero) {
   EXPECT_EQ(a.variance(), 0.0);
 }
 
-TEST(SampleSet, PercentilesInterpolate) {
-  sample_set s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
-  EXPECT_NEAR(s.median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.percentile(90), 90.1, 1e-9);
-  EXPECT_DOUBLE_EQ(s.mean(), 50.5);
-}
-
-TEST(SampleSet, SingleSample) {
-  sample_set s;
-  s.add(7.0);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 7.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 7.0);
-}
-
-TEST(Histogram, BucketsAndOverflow) {
-  histogram h(0.0, 10.0, 5);
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(1.9);
-  h.add(5.0);
-  h.add(10.0);
-  h.add(25.0);
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bucket(0), 2u);  // [0,2): 0.0 and 1.9
-  EXPECT_EQ(h.bucket(2), 1u);  // [4,6): 5.0
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(1), 4.0);
-  EXPECT_FALSE(h.to_string().empty());
-}
-
 TEST(Table, PrintsAlignedRowsAndCsv) {
   table t({"N", "height", "fp_rate"});
   t.add_row({table::cell(std::size_t{128}), table::cell(3), table::cell(0.023, 3)});
