@@ -204,25 +204,17 @@ peer_id dr_overlay::contact_node(peer_id asking) const {
     return chosen;
   }
   // Called on every (re)join: pick the k-th live peer != asking in id
-  // order without materializing a candidate vector.  Consumes the RNG
-  // exactly as the old snapshot-based selection did (same count, same
-  // index, same id order), so seeded runs are unchanged.
-  const std::size_t candidates =
-      sim_.live_count() - (alive(asking) ? 1 : 0);
+  // order, in O(log N) on the simulator's order-statistic live set.
+  // Consumes the RNG exactly as the old snapshot-based selection did
+  // (same count, same index, same id order), so seeded runs are
+  // unchanged; `asking` is skipped by its rank.
+  const bool asking_live = alive(asking);
+  const std::size_t candidates = sim_.live_count() - (asking_live ? 1 : 0);
   if (candidates == 0) return kNoPeer;
   auto& rng = const_cast<dr_overlay*>(this)->sim_.rng();
   std::size_t k = rng.index(candidates);
-  peer_id chosen = kNoPeer;
-  for_each_live([&](peer_id id) {
-    if (id == asking) return true;
-    if (k == 0) {
-      chosen = id;
-      return false;
-    }
-    --k;
-    return true;
-  });
-  return chosen;
+  if (asking_live && k >= sim_.live_rank(asking)) ++k;
+  return static_cast<peer_id>(sim_.nth_live(k));
 }
 
 void dr_overlay::record_delivery(std::uint64_t event_id, peer_id p,

@@ -113,11 +113,17 @@ class dr_overlay {
   }
   /// Allocating snapshot; prefer for_each_live()/live_count() in loops.
   std::vector<spatial::peer_id> live_peers() const;
+  /// O(1), from the simulator's live set.
   std::size_t live_count() const { return sim_.live_count(); }
+  /// The k-th live peer in ascending id order (0-based, k < live_count()),
+  /// in O(log N).
+  spatial::peer_id nth_live(std::size_t k) const {
+    return static_cast<spatial::peer_id>(sim_.nth_live(k));
+  }
 
-  /// Visit every live peer id without materializing a vector.  As with
-  /// sim::simulator::for_each_live, a bool-returning visitor stops on
-  /// false.
+  /// Visit every live peer id in ascending order without materializing a
+  /// vector.  As with sim::simulator::for_each_live, a bool-returning
+  /// visitor stops on false.
   template <typename Fn>
   void for_each_live(Fn&& fn) const {
     sim_.for_each_live([&fn](sim::process_id id) {

@@ -45,8 +45,9 @@ process_id simulator::add_process(std::unique_ptr<process> p) {
   const auto id = static_cast<process_id>(processes_.size());
   p->id_ = id;
   p->sim_ = this;
-  p->alive_ = true;
   processes_.push_back(std::move(p));
+  periodic_.emplace_back();
+  live_.insert(id);
   net_->on_process_added(id, rng_);
   processes_.back()->on_start();
   return id;
@@ -88,8 +89,8 @@ bool simulator::clear_degradation() {
 
 void simulator::crash(process_id id) {
   auto& p = get(id);
-  if (!p.alive_) return;
-  p.alive_ = false;
+  if (!is_alive(id)) return;
+  live_.erase(id);
   // Dead-letter purge: in-flight messages to the crashed process would
   // otherwise sit in the queue until their delivery times, spinning
   // run_steps() budget one pop per dead letter.  Drop and count them now.
@@ -105,8 +106,8 @@ void simulator::crash(process_id id) {
 
 void simulator::restart(process_id id) {
   auto& p = get(id);
-  if (p.alive_) return;
-  p.alive_ = true;
+  if (is_alive(id)) return;
+  live_.insert(id);
   p.on_start();
 }
 
@@ -183,20 +184,30 @@ void simulator::schedule_periodic(process_id target, std::uint64_t timer_type,
                                   sim_time period, sim_time phase) {
   DRT_EXPECT(target < processes_.size());
   DRT_EXPECT(period > 0.0);
-  auto& state = periodic_[periodic_key{target, timer_type}];
+  const auto generation = chain(target, timer_type).generation;
   pending_event ev;
   ev.at = now_ + phase;
   ev.what = pending_event::kind::periodic;
   ev.to = target;
   ev.type = timer_type;
   ev.period = period;
-  ev.generation = state.generation;
+  ev.generation = generation;
   push_event(std::move(ev));
 }
 
 void simulator::cancel_periodic(process_id target, std::uint64_t timer_type) {
+  DRT_EXPECT(target < processes_.size());
   // Outstanding firings with the old generation are ignored on pop.
-  ++periodic_[periodic_key{target, timer_type}].generation;
+  ++chain(target, timer_type).generation;
+}
+
+simulator::periodic_chain& simulator::chain(process_id target,
+                                            std::uint64_t type) {
+  auto& chains = periodic_[target];
+  for (auto& c : chains) {
+    if (c.type == type) return c;
+  }
+  return chains.emplace_back(periodic_chain{type, 0});
 }
 
 void simulator::push_event(pending_event ev) {
@@ -220,9 +231,10 @@ bool simulator::pop_and_execute() {
   now_ = std::max(now_, ev.at);
 
   auto& target = *processes_[ev.to];
+  const bool alive = is_alive(ev.to);
   switch (ev.what) {
     case pending_event::kind::message:
-      if (!target.alive_) {
+      if (!alive) {
         // Sent while the target was already down (crash-time purge
         // removed everything in flight at that point).  Any pending
         // duplicate dies with it.
@@ -244,14 +256,13 @@ bool simulator::pop_and_execute() {
       return true;
     case pending_event::kind::timer:
     case pending_event::kind::quiet:
-      if (!target.alive_) return true;
+      if (!alive) return true;
       ++metrics_.timers_fired;
       ++metrics_.handler_steps;
       target.on_timer(ev.type);
       return true;
     case pending_event::kind::periodic: {
-      const auto it = periodic_.find(periodic_key{ev.to, ev.type});
-      if (it == periodic_.end() || it->second.generation != ev.generation) {
+      if (chain(ev.to, ev.type).generation != ev.generation) {
         return true;  // cancelled
       }
       // Re-arm first so a handler cancelling the timer also stops this
@@ -264,7 +275,7 @@ bool simulator::pop_and_execute() {
       next.period = ev.period;
       next.generation = ev.generation;
       push_event(std::move(next));
-      if (target.alive_) {
+      if (alive) {
         ++metrics_.timers_fired;
         ++metrics_.handler_steps;
         target.on_timer(ev.type);

@@ -26,13 +26,12 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "net/model.h"
 #include "sim/event_queue.h"
+#include "sim/live_set.h"
 #include "sim/message.h"
 #include "util/expect.h"
 #include "util/rng.h"
@@ -51,7 +50,7 @@ class process {
 
   process_id id() const { return id_; }
   simulator& sim() const { return *sim_; }
-  bool alive() const { return alive_; }
+  bool alive() const;
 
   /// Called once when the process is added to the simulation.
   virtual void on_start() {}
@@ -71,7 +70,6 @@ class process {
   friend class simulator;
   process_id id_ = kNoProcess;
   simulator* sim_ = nullptr;
-  bool alive_ = false;
 };
 
 struct simulator_config {
@@ -120,9 +118,7 @@ class simulator {
   /// Restart a crashed process (keeps its — possibly stale — state).
   void restart(process_id id);
 
-  bool is_alive(process_id id) const {
-    return id < processes_.size() && processes_[id]->alive_;
-  }
+  bool is_alive(process_id id) const { return live_.contains(id); }
   process& get(process_id id) {
     DRT_EXPECT(id < processes_.size());
     return *processes_[id];
@@ -132,26 +128,22 @@ class simulator {
     return *processes_[id];
   }
 
-  /// Visit every live process id without materializing a vector (the
-  /// per-tick accounting loops in the overlay/harness run on this).
-  /// The visitor may return void, or bool with false meaning "stop
-  /// early" (selection walks shouldn't scan past their target).
+  /// Visit every live process id in ascending order without
+  /// materializing a vector (the per-tick accounting loops in the
+  /// overlay/harness run on this).  The walk touches the live bitmap
+  /// only, one word per 64 ids.  The visitor may return void, or bool
+  /// with false meaning "stop early".
   template <typename Fn>
   void for_each_live(Fn&& fn) const {
-    for (const auto& p : processes_) {
-      if (!p->alive_) continue;
-      if constexpr (std::is_void_v<std::invoke_result_t<Fn&, process_id>>) {
-        fn(p->id_);
-      } else {
-        if (!fn(p->id_)) return;
-      }
-    }
+    live_.for_each(std::forward<Fn>(fn));
   }
-  std::size_t live_count() const {
-    std::size_t n = 0;
-    for (const auto& p : processes_) n += p->alive_ ? 1 : 0;
-    return n;
-  }
+  /// O(1): the live set keeps its count.
+  std::size_t live_count() const { return live_.count(); }
+  /// The k-th live id in ascending id order (0-based, k < live_count()),
+  /// in O(log N) — the order statistic behind the contact oracle.
+  process_id nth_live(std::size_t k) const { return live_.nth(k); }
+  /// Live ids strictly below `id`, in O(log N).
+  std::size_t live_rank(process_id id) const { return live_.rank(id); }
   /// Allocating snapshot; prefer for_each_live()/live_count() in loops.
   std::vector<process_id> live_processes() const;
   std::size_t process_count() const { return processes_.size(); }
@@ -275,30 +267,14 @@ class simulator {
   const simulator_config& config() const { return config_; }
 
  private:
-  /// (target, timer type) identity of one periodic chain.  The full pair
-  /// is the key — no bit-packing, so timer types with bits above 32 can
-  /// never alias another process's chain.
-  struct periodic_key {
-    process_id target = kNoProcess;
+  /// One periodic chain of a process: its timer type and the generation
+  /// its firings must carry (bumped to cancel outstanding firings).
+  struct periodic_chain {
     std::uint64_t type = 0;
-    friend bool operator==(const periodic_key&,
-                           const periodic_key&) = default;
+    std::uint64_t generation = 0;
   };
-  struct periodic_key_hash {
-    std::size_t operator()(const periodic_key& k) const {
-      std::uint64_t x =
-          k.type ^ (0x9e3779b97f4a7c15ull * (std::uint64_t{k.target} + 1));
-      x ^= x >> 30;
-      x *= 0xbf58476d1ce4e5b9ull;
-      x ^= x >> 27;
-      x *= 0x94d049bb133111ebull;
-      x ^= x >> 31;
-      return static_cast<std::size_t>(x);
-    }
-  };
-  struct periodic_state {
-    std::uint64_t generation = 0;  // bump to cancel outstanding firings
-  };
+  /// The chain of (target, type), created at generation 0 on first use.
+  periodic_chain& chain(process_id target, std::uint64_t type);
 
   void post_message(process_id from, process_id to, std::uint64_t type,
                     envelope msg);
@@ -316,11 +292,17 @@ class simulator {
   link_filter link_filter_;
   trace_hook trace_;
   std::vector<std::unique_ptr<process>> processes_;
-  std::unordered_map<periodic_key, periodic_state, periodic_key_hash>
-      periodic_;
+  live_set live_;
+  /// Periodic chains by process id; a process has one per timer type
+  /// (the overlay uses one), so a linear scan finds it.
+  std::vector<std::vector<periodic_chain>> periodic_;
   payload_pool pool_;
   calendar_queue queue_;
 };
+
+inline bool process::alive() const {
+  return sim_ != nullptr && sim_->is_alive(id_);
+}
 
 }  // namespace drt::sim
 

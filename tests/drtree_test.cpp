@@ -477,6 +477,65 @@ TEST(DrTree, OracleRootModeWorks) {
   EXPECT_TRUE(tb.legal());
 }
 
+// Get_Contact_Node() runs on the simulator's order-statistic live set.
+// The reference below is the linear pick it replaced: draw k over the
+// live peers other than `asking`, then walk to the k-th in id order.
+// Both must name the same peer and leave the RNG in the same state,
+// across crashes and restarts, for live and dead askers alike.
+peer_id linear_contact(const dr_overlay& ov, peer_id asking, util::rng& rng) {
+  const std::size_t candidates =
+      ov.live_count() - (ov.alive(asking) ? 1 : 0);
+  if (candidates == 0) return kNoPeer;
+  std::size_t k = rng.index(candidates);
+  peer_id chosen = kNoPeer;
+  ov.for_each_live([&](peer_id id) {
+    if (id == asking) return true;
+    if (k == 0) {
+      chosen = id;
+      return false;
+    }
+    --k;
+    return true;
+  });
+  return chosen;
+}
+
+TEST(DrTree, ContactPickMatchesLinearWalk) {
+  for (const std::uint64_t seed : {1u, 5u, 2007u, 4242u}) {
+    sim::simulator_config sc;
+    sc.seed = seed;
+    dr_overlay ov({}, sc);
+    util::rng ops(seed * 31 + 7);
+    std::size_t picks = 0;
+    for (int step = 0; step < 900; ++step) {
+      const auto n = ov.sim().process_count();
+      const double roll = ops.next_double();
+      if (n < 2 || roll < 0.4) {
+        const double x = ops.uniform_real(0, 900);
+        const double y = ops.uniform_real(0, 900);
+        ov.add_peer(geo::make_rect2(x, y, x + 20, y + 20));
+      } else {
+        const auto p = static_cast<peer_id>(ops.index(n));
+        if (roll < 0.6 && ov.alive(p)) ov.crash(p);
+        if (roll >= 0.6 && roll < 0.75 && !ov.alive(p)) ov.restart(p);
+      }
+      const auto asking =
+          static_cast<peer_id>(ops.index(ov.sim().process_count()));
+      util::rng ref_rng = ov.sim().rng();
+      const auto want = linear_contact(ov, asking, ref_rng);
+      const auto got = ov.contact_node(asking);
+      ASSERT_EQ(got, want) << "seed " << seed << " step " << step;
+      ASSERT_NE(got, asking);
+      util::rng after = ov.sim().rng();
+      ASSERT_EQ(after.next_u64(), ref_rng.next_u64());
+      if (got != kNoPeer) ++picks;
+    }
+    EXPECT_GT(picks, 800u);
+    // The population crossed several 64-id words of the live bitmap.
+    EXPECT_GT(ov.sim().process_count(), 300u);
+  }
+}
+
 TEST(DrTree, FpReorganizationKeepsLegality) {
   auto hc = small_config(113);
   hc.dr.fp_reorganization = true;

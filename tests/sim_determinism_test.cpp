@@ -195,21 +195,52 @@ TEST(SimDeterminism, BatchEnvelopeGolden) {
 }
 
 // Direct scheduler equivalence: the calendar queue must pop the exact
-// (at, seq) sequence a binary heap pops, under adversarial mixes of
-// zero/short/long delays (long ones land in the overflow heap), partial
-// drains, and mid-stream purges.
+// (at, seq) sequence a binary heap pops.  Dense trials mix zero, short
+// and long delays (long ones land in the overflow heap), partial drains
+// and mid-stream purges.  Sparse trials keep a handful of timers pending,
+// many bucket widths apart, so the cursor crosses long runs of empty
+// buckets.  Their gaps reach three ring lengths, so the cursor wraps the
+// ring many times and moves both inside the window and from an empty
+// wheel to the overflow heap.  Clusters in
+// one bucket and zero-delay pushes keep the active bucket partly drained
+// when a purge lands.
 TEST(CalendarQueue, MatchesBinaryHeapPopOrder) {
   using ref_item = std::pair<double, std::uint64_t>;  // (at, seq)
+  using ref_heap = std::priority_queue<ref_item, std::vector<ref_item>,
+                                       std::greater<ref_item>>;
+  constexpr int kTargets = 7;
   util::rng r(2026);
-  for (int trial = 0; trial < 6; ++trial) {
+  for (int trial = 0; trial < 10; ++trial) {
+    const bool sparse = trial >= 6;
+    const double max_gap = trial < 8 ? 1000.0 : 3000.0;  // sparse, widths
     // Exercise narrow and wide buckets relative to the delay mix.
-    sim::calendar_queue q(trial % 2 == 0 ? 0.125 : 0.9);
-    std::priority_queue<ref_item, std::vector<ref_item>,
-                        std::greater<ref_item>>
-        ref;
+    const double width = trial % 2 == 0 ? 0.125 : 0.9;
+    sim::calendar_queue q(width);
+    ref_heap ref;
     double now = 0.0;
     std::uint64_t seq = 0;
+    auto push_at = [&](double at) {
+      sim::pending_event ev;
+      ev.at = at;
+      ev.seq = seq;
+      ev.what = sim::pending_event::kind::timer;
+      ev.to = static_cast<sim::process_id>(seq % kTargets);
+      q.push(std::move(ev));
+      ref.emplace(at, seq);
+      ++seq;
+    };
     auto push_one = [&] {
+      if (sparse) {
+        const double at = now + r.uniform_real(2.0, max_gap) * width;
+        push_at(at);
+        if (r.chance(0.15)) {
+          // A cluster in one bucket: drained over several pops.
+          for (int i = 0; i < 4; ++i) {
+            push_at(at + r.uniform_real(0.0, 0.5) * width);
+          }
+        }
+        return;
+      }
       double delay = 0.0;
       switch (r.uniform_int(0, 3)) {
         case 0: delay = 0.0; break;                        // active bucket
@@ -217,50 +248,50 @@ TEST(CalendarQueue, MatchesBinaryHeapPopOrder) {
         case 2: delay = r.uniform_real(0.0, 30.0); break;  // window-scale
         default: delay = r.uniform_real(0.0, 500.0);       // overflow
       }
-      sim::pending_event ev;
-      ev.at = now + delay;
-      ev.seq = seq;
-      ev.what = sim::pending_event::kind::timer;
-      ev.to = static_cast<sim::process_id>(seq % 7);
-      q.push(std::move(ev));
-      ref.emplace(now + delay, seq);
-      ++seq;
+      push_at(now + delay);
     };
-    for (int op = 0; op < 20000; ++op) {
-      if (ref.empty() || r.chance(0.55)) {
-        push_one();
-      } else if (r.chance(0.002)) {
-        // Crash-style purge: drop every event addressed to one target
-        // from both structures, then keep comparing.
-        const auto victim = static_cast<sim::process_id>(r.uniform_int(0, 6));
-        q.erase_if([victim](const sim::pending_event& ev) {
-          return ev.to == victim;
-        });
-        std::priority_queue<ref_item, std::vector<ref_item>,
-                            std::greater<ref_item>>
-            kept;
-        while (!ref.empty()) {
-          if (static_cast<sim::process_id>(ref.top().second % 7) != victim) {
-            kept.push(ref.top());
-          }
-          ref.pop();
+    auto purge = [&] {
+      // Crash-style purge: drop every event addressed to one target
+      // from both structures, then keep comparing.
+      const auto victim =
+          static_cast<sim::process_id>(r.uniform_int(0, kTargets - 1));
+      q.erase_if([victim](const sim::pending_event& ev) {
+        return ev.to == victim;
+      });
+      ref_heap kept;
+      for (; !ref.empty(); ref.pop()) {
+        if (static_cast<sim::process_id>(ref.top().second % kTargets) !=
+            victim) {
+          kept.push(ref.top());
         }
-        ref = std::move(kept);
-      } else {
-        const auto ev = q.pop();
-        ASSERT_EQ(ev.at, ref.top().first);
-        ASSERT_EQ(ev.seq, ref.top().second);
-        ref.pop();
-        ASSERT_GE(ev.at, now);
-        now = ev.at;
       }
-    }
-    while (!ref.empty()) {
+      ref = std::move(kept);
+      ASSERT_EQ(q.size(), ref.size());
+    };
+    auto pop_and_check = [&] {
       const auto ev = q.pop();
       ASSERT_EQ(ev.at, ref.top().first);
       ASSERT_EQ(ev.seq, ref.top().second);
       ref.pop();
+      ASSERT_GE(ev.at, now);
       now = ev.at;
+    };
+    for (int op = 0; op < 20000; ++op) {
+      if (ref.size() < (sparse ? 2u : 1u) || r.chance(sparse ? 0.4 : 0.55)) {
+        push_one();
+      } else if (sparse && r.chance(0.05)) {
+        push_at(now);  // zero delay: into the bucket being drained
+      } else if (r.chance(sparse ? 0.05 : 0.002)) {
+        purge();
+      } else {
+        pop_and_check();
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    while (!ref.empty()) {
+      pop_and_check();
+      if (::testing::Test::HasFatalFailure()) return;
+      if (sparse && r.chance(0.05)) purge();  // mid-drain purges
     }
     EXPECT_TRUE(q.empty());
   }

@@ -8,6 +8,7 @@
 
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace drt::sim {
 namespace {
@@ -404,6 +405,61 @@ TEST(CalendarQueue, OverflowHorizonBoundaries) {
   while (!ref.empty()) pop_and_check();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
+}
+
+// The order-statistic live set against a plain walk: after every add,
+// crash and restart, live_count(), nth_live(k) and live_rank(id) must
+// agree with what for_each_live() visits.  The population grows past
+// 1024 ids, so the sequences cross many 64-id word boundaries and every
+// Fenwick capacity doubling up to 32 words (2048 ids), with crashes and
+// restarts landing on both sides of each.
+TEST(Simulator, LiveSetOrderStatisticsMatchWalk) {
+  for (const std::uint64_t seed : {3u, 17u, 2007u}) {
+    simulator s;
+    util::rng r(seed);
+    auto check = [&] {
+      std::vector<process_id> walk;
+      s.for_each_live([&walk](process_id id) { walk.push_back(id); });
+      ASSERT_EQ(s.live_count(), walk.size());
+      for (std::size_t k = 0; k < walk.size(); ++k) {
+        ASSERT_EQ(s.nth_live(k), walk[k]) << "k=" << k;
+      }
+      std::size_t below = 0;
+      for (process_id id = 0; id < s.process_count() + 70; ++id) {
+        ASSERT_EQ(s.live_rank(id), below) << "id=" << id;
+        ASSERT_EQ(s.is_alive(id), below < walk.size() && walk[below] == id);
+        if (below < walk.size() && walk[below] == id) ++below;
+      }
+    };
+    for (int op = 0; op < 1600; ++op) {
+      const auto n = s.process_count();
+      const double roll = r.next_double();
+      if (n == 0 || roll < 0.7) {
+        s.add_process(std::make_unique<probe_process>());
+      } else {
+        const auto id = static_cast<process_id>(r.index(n));
+        if (roll < 0.85) {
+          s.crash(id);
+        } else {
+          s.restart(id);
+        }
+      }
+      // A full check is O(N log N); run it densely near the word and
+      // capacity boundaries and sparsely elsewhere.
+      const auto m = s.process_count() % 64;
+      if (m <= 1 || m == 63 || op % 37 == 0) check();
+    }
+    // Kill everything, then revive in reverse id order.
+    const auto n = static_cast<process_id>(s.process_count());
+    for (process_id id = 0; id < n; ++id) s.crash(id);
+    check();
+    EXPECT_EQ(s.live_count(), 0u);
+    for (process_id id = n; id-- > 0;) {
+      s.restart(id);
+      if (id % 61 == 0) check();
+    }
+    EXPECT_EQ(s.live_count(), n);
+  }
 }
 
 // Crash purges destroy in-flight pooled envelopes; their blocks must
