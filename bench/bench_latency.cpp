@@ -6,48 +6,49 @@
 // the matching population, not with N.
 #include <benchmark/benchmark.h>
 
-#include "analysis/harness.h"
 #include "analysis/models.h"
 #include "bench_common.h"
+#include "drtree/checker.h"
+#include "engine/backends.h"
+#include "engine/runner.h"
 #include "util/stats.h"
 #include "util/table.h"
 
 namespace {
 
-using drt::analysis::testbed;
 using drt::bench::results;
 using drt::util::table;
 
 void BM_Latency(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
 
-  drt::analysis::harness_config hc;
-  hc.net.seed = 83 + n;
+  drt::engine::overlay_backend_config bc;
+  bc.net.seed = 83 + n;
 
-  testbed::accuracy acc;
+  drt::engine::sweep_stats acc;
   std::size_t height = 0;
   double join_msgs = 0.0;
   for (auto _ : state) {
-    testbed tb(hc);
-    tb.populate(n);
-    tb.converge();
-    height = tb.report().height;
+    drt::engine::drtree_backend be(bc);
+    drt::engine::scenario_runner runner(be);
+    runner.populate(n);
+    runner.converge(80);
+    height = drt::overlay::checker(be.overlay()).check().height;
 
     // Join (subscribe) cost on the full overlay.
     drt::util::accumulator joins;
-    auto params = hc.subs;
-    params.workspace = hc.dr.workspace;
+    const auto& wl = runner.config().workload;
     const auto rects = drt::workload::make_subscriptions(
-        hc.family, 10, tb.workload_rng(), params);
+        wl.family, 10, runner.rng(), wl.subs);
     for (const auto& r : rects) {
-      const auto m0 = tb.overlay().sim().metrics().messages_sent;
-      tb.add(r);
+      const auto m0 = be.overlay().sim().metrics().messages_sent;
+      runner.add(r);
       joins.add(static_cast<double>(
-          tb.overlay().sim().metrics().messages_sent - m0));
+          be.overlay().sim().metrics().messages_sent - m0));
     }
     join_msgs = joins.mean();
 
-    acc = tb.publish_sweep(200, drt::workload::event_family::matching);
+    acc = runner.publish_sweep(200, drt::workload::event_family::matching);
   }
 
   state.counters["mean_hops"] = acc.mean_hops();

@@ -10,10 +10,8 @@
 // the reliability a transport layer must provide to preserve the paper's
 // guarantee end-to-end.
 //
-// Driven through the scenario engine on an explicit net::uniform_model
-// (the declarative form of the transport the legacy testbed shim
-// hard-coded); the row schema is unchanged so the bench history stays
-// comparable.
+// Driven through the scenario engine on an explicit net::uniform_model;
+// the row schema is unchanged so the bench history stays comparable.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"

@@ -56,7 +56,7 @@ void run_throughput(benchmark::State& state, std::size_t n,
     // tree before measurement starts.
     for (int i = 0; i < 10; ++i) be.step_round();
   } else {
-    runner.converge();
+    runner.converge(300);
   }
 
   const std::size_t events = n > 1000 ? 2048 : 512;

@@ -14,13 +14,13 @@
 // while the largest-MBR rows stay flat and low.
 #include <benchmark/benchmark.h>
 
-#include "analysis/harness.h"
 #include "bench_common.h"
+#include "engine/backends.h"
+#include "engine/runner.h"
 #include "util/table.h"
 
 namespace {
 
-using drt::analysis::testbed;
 using drt::bench::results;
 using drt::overlay::election_policy;
 using drt::util::table;
@@ -29,24 +29,26 @@ void BM_Reorganization(benchmark::State& state) {
   const bool enabled = state.range(0) != 0;
   const auto policy = static_cast<election_policy>(state.range(1));
 
-  drt::analysis::harness_config hc;
-  hc.dr.fp_reorganization = enabled;
-  hc.dr.election = policy;
-  hc.family = drt::workload::subscription_family::zipf_sized;
-  hc.net.seed = 131;
+  drt::engine::overlay_backend_config bc;
+  bc.dr.fp_reorganization = enabled;
+  bc.dr.election = policy;
+  bc.net.seed = 131;
+  drt::engine::runner_config rc;
+  rc.workload.family = drt::workload::subscription_family::zipf_sized;
 
-  testbed::accuracy warmup;
-  testbed::accuracy after;
+  drt::engine::sweep_stats warmup;
+  drt::engine::sweep_stats after;
   for (auto _ : state) {
-    testbed tb(hc);
-    tb.populate(100);
-    tb.converge();
+    drt::engine::drtree_backend be(bc);
+    drt::engine::scenario_runner runner(be, rc);
+    runner.populate(100);
+    runner.converge(80);
     // Phase 1: the biased stream hits the initial organization.
-    warmup = tb.publish_sweep(500, drt::workload::event_family::hotspot);
+    warmup = runner.publish_sweep(500, drt::workload::event_family::hotspot);
     // Give the stabilizers time to act on the collected FP counters.
-    tb.converge(20);
+    runner.converge(20);
     // Phase 2: same stream against the (possibly) reorganized overlay.
-    after = tb.publish_sweep(500, drt::workload::event_family::hotspot);
+    after = runner.publish_sweep(500, drt::workload::event_family::hotspot);
   }
 
   state.counters["fp_before"] = warmup.fp_rate();

@@ -8,14 +8,14 @@
 // random sits between.
 #include <benchmark/benchmark.h>
 
-#include "analysis/harness.h"
 #include "bench_common.h"
 #include "drtree/checker.h"
+#include "engine/backends.h"
+#include "engine/runner.h"
 #include "util/table.h"
 
 namespace {
 
-using drt::analysis::testbed;
 using drt::bench::results;
 using drt::overlay::election_policy;
 using drt::util::table;
@@ -26,19 +26,22 @@ void BM_RootElection(benchmark::State& state) {
   const auto family = static_cast<subscription_family>(state.range(1));
   const std::size_t n = 100;
 
-  drt::analysis::harness_config hc;
-  hc.dr.election = policy;
-  hc.family = family;
-  hc.net.seed = 89 + state.range(0) * 11 + state.range(1);
+  drt::engine::overlay_backend_config bc;
+  bc.dr.election = policy;
+  bc.net.seed = 89 + state.range(0) * 11 + state.range(1);
+  drt::engine::runner_config rc;
+  rc.workload.family = family;
 
-  testbed::accuracy acc;
+  drt::engine::sweep_stats acc;
   drt::overlay::check_report report;
   for (auto _ : state) {
-    testbed tb(hc);
-    tb.populate(n);
-    tb.converge();
-    report = tb.report(/*check_containment=*/true);
-    acc = tb.publish_sweep(300, drt::workload::event_family::matching);
+    drt::engine::drtree_backend be(bc);
+    drt::engine::scenario_runner runner(be, rc);
+    runner.populate(n);
+    runner.converge(80);
+    report = drt::overlay::checker(be.overlay())
+                 .check(/*check_containment=*/true);
+    acc = runner.publish_sweep(300, drt::workload::event_family::matching);
   }
 
   state.counters["fp_rate"] = acc.fp_rate();

@@ -7,15 +7,15 @@
 // crosses over toward N only as the query covers the whole workspace.
 #include <benchmark/benchmark.h>
 
-#include "analysis/harness.h"
 #include "analysis/models.h"
 #include "bench_common.h"
+#include "engine/backends.h"
+#include "engine/runner.h"
 #include "util/stats.h"
 #include "util/table.h"
 
 namespace {
 
-using drt::analysis::testbed;
 using drt::bench::results;
 using drt::util::table;
 
@@ -23,14 +23,15 @@ void BM_Search(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto side_pct = static_cast<std::size_t>(state.range(1));
 
-  drt::analysis::harness_config hc;
-  hc.net.seed = 141 + n;
-  testbed tb(hc);
-  tb.populate(n);
-  tb.converge();
+  drt::engine::overlay_backend_config bc;
+  bc.net.seed = 141 + n;
+  drt::engine::drtree_backend be(bc);
+  drt::engine::scenario_runner runner(be);
+  runner.populate(n);
+  runner.converge(80);
 
-  auto& rng = tb.workload_rng();
-  const auto& ws = hc.dr.workspace;
+  auto& rng = runner.rng();
+  const auto& ws = bc.dr.workspace;
   const double side = (ws.hi[0] - ws.lo[0]) *
                       static_cast<double>(side_pct) / 100.0;
 
@@ -39,13 +40,13 @@ void BM_Search(benchmark::State& state) {
   drt::util::accumulator answers;
   std::size_t missed = 0;
   std::size_t spurious = 0;
-  const auto live = tb.overlay().live_peers();
+  const auto live = be.overlay().live_peers();
   for (auto _ : state) {
     for (int q = 0; q < 30; ++q) {
       const double x = rng.uniform_real(ws.lo[0], ws.hi[0] - side);
       const double y = rng.uniform_real(ws.lo[1], ws.hi[1] - side);
       const auto query = drt::geo::make_rect2(x, y, x + side, y + side);
-      const auto r = tb.overlay().search_and_drain(
+      const auto r = be.overlay().search_and_drain(
           live[rng.index(live.size())], query);
       msgs.add(static_cast<double>(r.messages));
       hops.add(static_cast<double>(r.max_hops));

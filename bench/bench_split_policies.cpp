@@ -7,8 +7,9 @@
 // rate follows the same ordering.
 #include <benchmark/benchmark.h>
 
-#include "analysis/harness.h"
 #include "bench_common.h"
+#include "engine/backends.h"
+#include "engine/runner.h"
 #include "rtree/rtree.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -16,7 +17,6 @@
 
 namespace {
 
-using drt::analysis::testbed;
 using drt::bench::results;
 using drt::rtree::split_method;
 using drt::util::table;
@@ -58,15 +58,19 @@ void BM_SplitPolicy(benchmark::State& state) {
   }
 
   // Part 2: DR-tree overlay accuracy with the same split code.
-  drt::analysis::harness_config hc;
-  hc.dr.split = method;
-  hc.family = clustered ? drt::workload::subscription_family::clustered
-                        : drt::workload::subscription_family::uniform;
-  hc.net.seed = 103 + state.range(0);
-  testbed tb(hc);
-  tb.populate(128);
-  tb.converge();
-  const auto acc = tb.publish_sweep(200, drt::workload::event_family::matching);
+  drt::engine::overlay_backend_config bc;
+  bc.dr.split = method;
+  bc.net.seed = 103 + state.range(0);
+  drt::engine::runner_config run_cfg;
+  run_cfg.workload.family = clustered
+                                ? drt::workload::subscription_family::clustered
+                                : drt::workload::subscription_family::uniform;
+  drt::engine::drtree_backend be(bc);
+  drt::engine::scenario_runner runner(be, run_cfg);
+  runner.populate(128);
+  runner.converge(80);
+  const auto acc =
+      runner.publish_sweep(200, drt::workload::event_family::matching);
 
   state.counters["interior_overlap"] = stats.interior_overlap;
   state.counters["query_nodes"] = query_nodes;

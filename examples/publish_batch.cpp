@@ -53,7 +53,7 @@ int main() {
   rc.workload.seed = 11;
   engine::scenario_runner r(be, rc);
   r.populate(128);
-  r.converge();
+  r.converge(300);
   const auto scalar = r.publish_sweep(256);
   const auto batched = r.publish_batch(256, 64);
   std::printf(

@@ -14,10 +14,11 @@
 #include <iostream>
 #include <map>
 
-#include "analysis/harness.h"
 #include "analysis/models.h"
 #include "drtree/checker.h"
 #include "drtree/dot.h"
+#include "engine/backends.h"
+#include "engine/runner.h"
 
 namespace {
 
@@ -42,26 +43,28 @@ int main(int argc, char** argv) {
   const std::size_t m = argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 2;
   const std::size_t big_m = argc > 4 ? std::strtoul(argv[4], nullptr, 10) : 6;
 
-  analysis::harness_config hc;
-  hc.family = family;
-  hc.dr.min_children = m;
-  hc.dr.max_children = big_m;
-  analysis::testbed tb(hc);
-  tb.populate(n);
-  const int rounds = tb.converge();
+  engine::overlay_backend_config bc;
+  bc.dr.min_children = m;
+  bc.dr.max_children = big_m;
+  engine::runner_config rc;
+  rc.workload.family = family;
+  engine::drtree_backend be(bc);
+  engine::scenario_runner runner(be, rc);
+  runner.populate(n);
+  const int rounds = runner.converge(80);
 
-  const auto report = tb.report();
+  const auto report = overlay::checker(be.overlay()).check();
   std::cout << "DR-tree over " << n << " '" << to_string(family)
             << "' subscriptions (m=" << m << ", M=" << big_m << ")\n";
   std::cout << "converged after " << rounds << " stabilization rounds; legal: "
             << (report.legal() ? "yes" : "no") << "\n\n";
 
   // Logical levels (Fig. 4): which peers are active per height.
-  const auto root = tb.overlay().current_root();
+  const auto root = be.overlay().current_root();
   std::map<std::size_t, std::vector<spatial::peer_id>> by_height;
   std::size_t tree_height = 0;
-  for (const auto p : tb.overlay().live_peers()) {
-    const auto& peer = tb.overlay().peer(p);
+  for (const auto p : be.overlay().live_peers()) {
+    const auto& peer = be.overlay().peer(p);
     tree_height = std::max(tree_height, peer.top());
     for (const auto h : peer.instance_heights()) by_height[h].push_back(p);
   }
@@ -82,8 +85,8 @@ int main(int argc, char** argv) {
   // Communication graph (Fig. 5): neighbor = parent or child somewhere.
   std::size_t edges = 0;
   std::size_t max_degree = 0;
-  for (const auto p : tb.overlay().live_peers()) {
-    const auto& peer = tb.overlay().peer(p);
+  for (const auto p : be.overlay().live_peers()) {
+    const auto& peer = be.overlay().peer(p);
     std::size_t degree = 0;
     for (const auto h : peer.instance_heights()) {
       const auto& ins = peer.inst(h);
@@ -111,9 +114,9 @@ int main(int argc, char** argv) {
   if (argc > 5) {
     const std::string prefix = argv[5];
     std::ofstream(prefix + "_instances.dot")
-        << overlay::to_dot_instances(tb.overlay());
+        << overlay::to_dot_instances(be.overlay());
     std::ofstream(prefix + "_peers.dot")
-        << overlay::to_dot_peers(tb.overlay());
+        << overlay::to_dot_peers(be.overlay());
     std::cout << "\nwrote " << prefix << "_instances.dot and " << prefix
               << "_peers.dot\n";
   }

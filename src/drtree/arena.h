@@ -121,8 +121,6 @@ class instance_arena {
     return chunks_[s / kChunkSlots][s % kChunkSlots];
   }
 
-  std::size_t live_slots() const { return live_; }
-
   arena_stats stats() const {
     arena_stats st;
     st.slots = size_;

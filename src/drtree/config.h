@@ -114,21 +114,12 @@ struct dr_config {
   /// The workspace used to clamp unbounded filters for area heuristics.
   spatial::box workspace = geo::make_rect2(0, 0, 1000, 1000);
 
-  /// When true, joins are routed up to the root before descending (the
-  /// paper's default: "the odds of finding a good position ... are best
-  /// when starting from the root").  When false, the descent starts at
-  /// the contact node (measured in E5).
-  bool join_via_root = true;
-
   /// Flight-recorder tracing (DESIGN.md §12).  `off` costs exactly one
   /// null-pointer branch per emit site — runs are bit-identical to the
   /// pre-trace code, pinned by the metrics-digest tests; `ring` records
   /// protocol events into a bounded ring; `full` grows without bound and
   /// adds a record per simulator message delivery.
   obs::trace_mode trace = obs::trace_mode::off;
-
-  /// Ring capacity (records; rounded up to a power of two).
-  std::size_t trace_capacity = 1u << 14;
 
   /// With tracing on, automatically write a flight dump on the overlay's
   /// first false negative and on the checker's first violation report

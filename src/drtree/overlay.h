@@ -264,10 +264,6 @@ class dr_overlay {
   /// drtd reschedules its wall-clock stabilizer against it).
   std::size_t dirty_pending() const { return dirty_pending_; }
 
-  /// Marked slots in mark order (may contain already-cleared entries
-  /// until the next compaction; callers re-check the bitmap).
-  const std::vector<inst_slot>& dirty_ring() const { return dirty_ring_; }
-
   stabilize_stats& stab_stats() { return stab_stats_; }
   const stabilize_stats& stab_stats() const { return stab_stats_; }
 

@@ -14,55 +14,6 @@
 
 namespace drt::engine {
 
-namespace {
-
-/// Both overlay-backed adapters report the checker's structural view so
-/// their shape rows are directly comparable with the baselines'.
-backend_shape shape_of_overlay(const overlay::dr_overlay& ov) {
-  const auto report = overlay::checker(ov).check();
-  backend_shape s;
-  s.population = report.live_peers;
-  s.height = report.height;
-  s.max_degree = report.max_interior_children;
-  s.avg_degree = report.avg_interior_children;
-  s.routing_state = report.memory_links;
-  return s;
-}
-
-std::size_t corrupt_overlay(overlay::dr_overlay& ov, double rate,
-                            std::uint64_t seed) {
-  overlay::corruptor vandal(ov, seed);
-  return vandal.corrupt(overlay::uniform_corruption(rate));
-}
-
-/// Both overlay adapters expose partition/degrade iff the sim's net
-/// model has a dynamic fault layer — capabilities are honest, never
-/// aspirational.
-capability_mask overlay_capabilities(const overlay::dr_overlay& ov) {
-  capability_mask m = cap_unsubscribe | cap_crash | cap_restart |
-                      cap_corruption | cap_stabilize;
-  if (ov.sim().dynamic_net() != nullptr) m |= cap_partition | cap_degrade;
-  return m;
-}
-
-bool partition_overlay(overlay::dr_overlay& ov,
-                       const std::vector<sub_id>& side_b) {
-  std::vector<spatial::peer_id> peers;
-  peers.reserve(side_b.size());
-  for (const auto s : side_b) {
-    peers.push_back(static_cast<spatial::peer_id>(s));
-  }
-  return ov.partition(peers);
-}
-
-bool degrade_overlay(overlay::dr_overlay& ov, double latency_factor,
-                     double extra_loss, double ramp_rounds) {
-  return ov.degrade_links(latency_factor, extra_loss,
-                          ramp_rounds * ov.config().stabilize_period);
-}
-
-}  // namespace
-
 overlay_backend_config configured_for(const scenario& sc,
                                       overlay_backend_config base) {
   if (sc.net.has_value()) base.net.model = *sc.net;
@@ -72,19 +23,30 @@ overlay_backend_config configured_for(const scenario& sc,
 // ------------------------------------------------------- drtree_backend
 
 drtree_backend::drtree_backend(overlay_backend_config config)
-    : overlay_(std::make_unique<overlay::dr_overlay>(config.dr, config.net)) {}
+    : owned_(std::make_unique<overlay::dr_overlay>(config.dr, config.net)),
+      overlay_(owned_.get()) {}
 
 capability_mask drtree_backend::capabilities() const {
-  return overlay_capabilities(*overlay_);
+  // Partition/degrade are advertised iff the sim's net model has a
+  // dynamic fault layer — capabilities are honest, never aspirational.
+  capability_mask m = cap_unsubscribe | cap_crash | cap_restart |
+                      cap_corruption | cap_stabilize;
+  if (overlay_->sim().dynamic_net() != nullptr) {
+    m |= cap_partition | cap_degrade;
+  }
+  return m;
 }
 
 bool drtree_backend::partition(const std::vector<sub_id>& side_b) {
-  return partition_overlay(*overlay_, side_b);
+  const std::vector<spatial::peer_id> peers(side_b.begin(), side_b.end());
+  return overlay_->partition(peers);
 }
 
 bool drtree_backend::degrade_links(double latency_factor, double extra_loss,
                                    double ramp_rounds) {
-  return degrade_overlay(*overlay_, latency_factor, extra_loss, ramp_rounds);
+  return overlay_->degrade_links(
+      latency_factor, extra_loss,
+      ramp_rounds * overlay_->config().stabilize_period);
 }
 
 sub_id drtree_backend::subscribe(const spatial::box& filter) {
@@ -114,7 +76,8 @@ bool drtree_backend::restart(sub_id s) {
 }
 
 std::size_t drtree_backend::corrupt(double rate, std::uint64_t seed) {
-  return corrupt_overlay(*overlay_, rate, seed);
+  overlay::corruptor vandal(*overlay_, seed);
+  return vandal.corrupt(overlay::uniform_corruption(rate));
 }
 
 bool drtree_backend::alive(sub_id s) const {
@@ -135,6 +98,7 @@ sub_id drtree_backend::root() const {
 
 delivery_report drtree_backend::publish(sub_id publisher,
                                         const spatial::pt& value) {
+  // A batch of one, through broker_backend's override on the façade.
   return publish_batch(publisher, &value, 1);
 }
 
@@ -165,7 +129,16 @@ bool drtree_backend::legal() const {
 }
 
 backend_shape drtree_backend::shape() const {
-  return shape_of_overlay(*overlay_);
+  // The checker's structural view, so shape rows compare directly with
+  // the baselines'.
+  const auto report = overlay::checker(*overlay_).check();
+  backend_shape s;
+  s.population = report.live_peers;
+  s.height = report.height;
+  s.max_degree = report.max_interior_children;
+  s.avg_degree = report.avg_interior_children;
+  s.routing_state = report.memory_links;
+  return s;
 }
 
 backend_counters drtree_backend::counters() const {
@@ -257,7 +230,8 @@ bool sharded_drtree_backend::restart(sub_id s) {
 std::size_t sharded_drtree_backend::corrupt(double rate, std::uint64_t seed) {
   std::size_t mutations = 0;
   for (std::size_t i = 0; i < overlays_.size(); ++i) {
-    mutations += corrupt_overlay(*overlays_[i], rate, seed + i);
+    overlay::corruptor vandal(*overlays_[i], seed + i);
+    mutations += vandal.corrupt(overlay::uniform_corruption(rate));
   }
   return mutations;
 }
@@ -419,26 +393,12 @@ overlay::arena_stats sharded_drtree_backend::arena_stats() const {
 
 // ------------------------------------------------------- broker_backend
 
-broker_backend::broker_backend(overlay_backend_config config) {
-  pubsub::broker_config bc;
-  bc.dr = config.dr;
-  bc.net = config.net;
-  broker_ = std::make_unique<pubsub::broker>(bc);
-}
+broker_backend::broker_backend(overlay_backend_config config)
+    : broker_backend(std::make_unique<pubsub::broker>(
+          pubsub::broker_config{config.dr, config.net})) {}
 
-capability_mask broker_backend::capabilities() const {
-  return overlay_capabilities(broker_->raw_overlay());
-}
-
-bool broker_backend::partition(const std::vector<sub_id>& side_b) {
-  return partition_overlay(broker_->raw_overlay(), side_b);
-}
-
-bool broker_backend::degrade_links(double latency_factor, double extra_loss,
-                                   double ramp_rounds) {
-  return degrade_overlay(broker_->raw_overlay(), latency_factor, extra_loss,
-                         ramp_rounds);
-}
+broker_backend::broker_backend(std::unique_ptr<pubsub::broker> b)
+    : drtree_backend(b->raw_overlay(), "broker"), broker_(std::move(b)) {}
 
 sub_id broker_backend::subscribe(const spatial::box& filter) {
   const auto client = broker_->add_client();
@@ -458,66 +418,14 @@ bool broker_backend::unsubscribe(sub_id s) {
   return ok;
 }
 
-bool broker_backend::crash(sub_id s) {
-  auto& ov = broker_->raw_overlay();
-  const auto p = static_cast<spatial::peer_id>(s);
-  if (!ov.alive(p)) return false;
-  ov.crash(p);
-  return true;
-}
-
-bool broker_backend::restart(sub_id s) {
-  auto& ov = broker_->raw_overlay();
-  const auto p = static_cast<spatial::peer_id>(s);
-  if (ov.alive(p)) return false;
-  ov.restart(p);
-  return true;
-}
-
-std::size_t broker_backend::corrupt(double rate, std::uint64_t seed) {
-  return corrupt_overlay(broker_->raw_overlay(), rate, seed);
-}
-
-bool broker_backend::alive(sub_id s) const {
-  return broker_->raw_overlay().alive(static_cast<spatial::peer_id>(s));
-}
-
-std::vector<sub_id> broker_backend::active() const {
-  std::vector<sub_id> out;
-  out.reserve(broker_->raw_overlay().live_count());
-  broker_->raw_overlay().for_each_live(
-      [&out](spatial::peer_id p) { out.push_back(p); });
-  return out;
-}
-
-sub_id broker_backend::root() const {
-  const auto r = broker_->raw_overlay().current_root();
-  return r == spatial::kNoPeer ? kNoSub : static_cast<sub_id>(r);
-}
-
-delivery_report broker_backend::publish(sub_id publisher,
-                                        const spatial::pt& value) {
-  const auto it = handles_.find(publisher);
-  DRT_EXPECT(it != handles_.end());
-  const auto out = broker_->publish(it->second.client, value);
-  // One client per subscription, so client-level accounting *is*
-  // subscription-level accounting.
-  delivery_report d;
-  d.interested = out.matching_clients;
-  d.delivered = out.notified.size();
-  d.false_positives = out.client_false_positives;
-  d.false_negatives = out.client_false_negatives;
-  d.messages = out.messages;
-  d.max_hops = out.max_hops;
-  return d;
-}
-
 delivery_report broker_backend::publish_batch(sub_id publisher,
                                               const spatial::pt* values,
                                               std::size_t n) {
   const auto it = handles_.find(publisher);
   DRT_EXPECT(it != handles_.end());
   const auto outs = broker_->publish_batch(it->second.client, values, n);
+  // One client per subscription, so client-level accounting *is*
+  // subscription-level accounting.
   delivery_report d;
   for (const auto& out : outs) {
     d.interested += out.matching_clients;
@@ -528,24 +436,6 @@ delivery_report broker_backend::publish_batch(sub_id publisher,
     d.max_hops = std::max(d.max_hops, out.max_hops);
   }
   return d;
-}
-
-void broker_backend::step_round() {
-  auto& ov = broker_->raw_overlay();
-  ov.advance(ov.config().stabilize_period);
-  ov.settle();
-}
-
-backend_shape broker_backend::shape() const {
-  return shape_of_overlay(broker_->raw_overlay());
-}
-
-backend_counters broker_backend::counters() const {
-  backend_counters c;
-  c.messages = broker_->raw_overlay().sim().metrics().messages_sent;
-  c.stabilize_visited = broker_->raw_overlay().stab_stats().visited;
-  c.stabilize_skipped = broker_->raw_overlay().stab_stats().skipped;
-  return c;
 }
 
 // ----------------------------------------------------- baseline_backend
@@ -623,12 +513,9 @@ backend_shape baseline_backend::shape() const {
 // --------------------------------------------------------------- factory
 
 std::vector<std::unique_ptr<backend>> make_all_backends(
-    const overlay_backend_config& config, bool include_broker) {
+    const overlay_backend_config& config) {
   std::vector<std::unique_ptr<backend>> out;
   out.push_back(std::make_unique<drtree_backend>(config));
-  if (include_broker) {
-    out.push_back(std::make_unique<broker_backend>(config));
-  }
   out.push_back(std::make_unique<baseline_backend>(
       std::make_unique<baselines::containment_tree>()));
   out.push_back(std::make_unique<baseline_backend>(

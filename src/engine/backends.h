@@ -2,14 +2,16 @@
 // façade, and the four §3.1/§4 baselines behind the one
 // drt::engine::backend interface.
 //
-// The two overlay-backed adapters (drtree_backend, broker_backend) drive
-// the identical protocol stack through the identical operations, so a
-// churn-free scenario produces bit-identical metrics on either — the
-// engine determinism tests rely on this.  Baselines get honest
-// *incremental rebuild* semantics: they have no repair protocol, so every
-// membership change rebuilds the structure from the surviving
-// subscription set (counted in backend_counters::rebuilds); crashes,
-// restarts, and corruption are outside their capability mask.
+// The two overlay-backed adapters drive the identical protocol stack
+// through the identical operations: broker_backend is a drtree_backend
+// over its broker's overlay that swaps in the broker API for membership
+// and publication only.  A churn-free scenario therefore produces
+// bit-identical metrics on either — the engine determinism tests rely
+// on this.  Baselines get honest *incremental rebuild* semantics: they
+// have no repair protocol, so every membership change rebuilds the
+// structure from the surviving subscription set (counted in
+// backend_counters::rebuilds); crashes, restarts, and corruption are
+// outside their capability mask.
 #ifndef DRT_ENGINE_BACKENDS_H
 #define DRT_ENGINE_BACKENDS_H
 
@@ -41,12 +43,13 @@ overlay_backend_config configured_for(const scenario& sc,
                                       overlay_backend_config base = {});
 
 /// The system under study: the full DR-tree protocol stack, one overlay
-/// peer per subscription.
-class drtree_backend final : public backend {
+/// peer per subscription.  Every overlay-level operation lives here;
+/// broker_backend inherits them.
+class drtree_backend : public backend {
  public:
   explicit drtree_backend(overlay_backend_config config = {});
 
-  std::string name() const override { return "drtree"; }
+  std::string name() const override { return name_; }
   capability_mask capabilities() const override;
 
   sub_id subscribe(const spatial::box& filter) override;
@@ -80,8 +83,15 @@ class drtree_backend final : public backend {
   overlay::dr_overlay& overlay() { return *overlay_; }
   const overlay::dr_overlay& overlay() const { return *overlay_; }
 
+ protected:
+  /// Drive an overlay owned elsewhere (the broker's), reported as `name`.
+  drtree_backend(overlay::dr_overlay& ov, const char* name)
+      : overlay_(&ov), name_(name) {}
+
  private:
-  std::unique_ptr<overlay::dr_overlay> overlay_;
+  std::unique_ptr<overlay::dr_overlay> owned_;  ///< null when not ours
+  overlay::dr_overlay* overlay_;
+  const char* name_ = "drtree";
 };
 
 /// The DR-tree stack sharded over a sim::kernel (DESIGN.md §8): one full
@@ -165,44 +175,26 @@ class sharded_drtree_backend final : public backend {
 
 /// The application façade: one broker client per engine subscription, so
 /// client-level accounting coincides with subscription-level accounting
-/// and the adapter stays metrics-compatible with drtree_backend.
-class broker_backend final : public backend {
+/// and the adapter stays metrics-compatible with drtree_backend.  Only
+/// membership and publication go through the broker API; everything else
+/// acts on the broker's overlay exactly as drtree_backend does.
+class broker_backend final : public drtree_backend {
  public:
   explicit broker_backend(overlay_backend_config config = {});
 
-  std::string name() const override { return "broker"; }
-  capability_mask capabilities() const override;
-
   sub_id subscribe(const spatial::box& filter) override;
   bool unsubscribe(sub_id s) override;
-  bool crash(sub_id s) override;
-  bool restart(sub_id s) override;
-  std::size_t corrupt(double rate, std::uint64_t seed) override;
-  bool partition(const std::vector<sub_id>& side_b) override;
-  bool heal() override { return broker_->raw_overlay().heal_partition(); }
-  bool degrade_links(double latency_factor, double extra_loss,
-                     double ramp_rounds) override;
-
-  bool alive(sub_id s) const override;
-  std::vector<sub_id> active() const override;
-  std::size_t population() const override {
-    return broker_->raw_overlay().live_count();
-  }
-  sub_id root() const override;
-
-  delivery_report publish(sub_id publisher, const spatial::pt& value) override;
+  /// publish() is inherited: a batch of one through this override.
   delivery_report publish_batch(sub_id publisher, const spatial::pt* values,
                                 std::size_t n) override;
-
-  void settle() override { broker_->raw_overlay().settle(); }
-  void step_round() override;
-  bool legal() const override { return broker_->overlay_legal(); }
-  backend_shape shape() const override;
-  backend_counters counters() const override;
 
   pubsub::broker& broker() { return *broker_; }
 
  private:
+  // The broker (and so the overlay) must exist before the base adopts
+  // it; the delegating constructor hands it over in that order.
+  explicit broker_backend(std::unique_ptr<pubsub::broker> b);
+
   std::unique_ptr<pubsub::broker> broker_;
   /// sub_id == the subscription's overlay peer id; the handle map lets
   /// unsubscribe tear down through the broker API.
@@ -255,10 +247,9 @@ class baseline_backend final : public backend {
 
 /// All five systems of experiment E14 behind the uniform interface: the
 /// DR-tree plus the four baselines (containment tree, dimension forest,
-/// flooding, Z-curve DHT).  `broker` adds the sixth, client-facing
-/// surface when requested.
+/// flooding, Z-curve DHT).
 std::vector<std::unique_ptr<backend>> make_all_backends(
-    const overlay_backend_config& config, bool include_broker = false);
+    const overlay_backend_config& config);
 
 /// The overlay backend a scenario calls for: its declarative net model
 /// installed (configured_for) and its `shards` knob honored — 1 builds

@@ -16,8 +16,7 @@
 
 namespace drt::engine {
 
-/// Aggregate accuracy/cost of one publish sweep (also the payload behind
-/// analysis::testbed::accuracy).
+/// Aggregate accuracy/cost of one publish sweep.
 struct sweep_stats {
   std::size_t events = 0;
   std::size_t population = 0;  ///< live subscriptions during the sweep
@@ -37,12 +36,6 @@ struct sweep_stats {
         static_cast<double>(events) * static_cast<double>(population);
     return denom == 0.0 ? 0.0
                         : static_cast<double>(false_positives) / denom;
-  }
-  /// FP share of deliveries (routing-precision view).
-  double fp_per_delivery() const {
-    return deliveries == 0 ? 0.0
-                           : static_cast<double>(false_positives) /
-                                 static_cast<double>(deliveries);
   }
   double fn_rate() const {
     return interested == 0 ? 0.0

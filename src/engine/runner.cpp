@@ -462,19 +462,18 @@ metrics_recorder scenario_runner::run(const scenario& sc) {
   phase_ctx ctx{sc.workload, run_rng, run_filters, run_crashed};
   for (const auto& p : sc.timeline) execute(ctx, p, rec);
 
-  if (config_.final_shape_row) {
-    phase_metrics m;
-    m.phase = "shape";
-    const auto before = be_.counters();
-    const auto s = be_.shape();
-    m.height = s.height;
-    m.max_degree = s.max_degree;
-    m.avg_degree = s.avg_degree;
-    m.routing_state = s.routing_state;
-    m.legal = be_.legal() ? 1 : 0;
-    finish_row(m, before);
-    rec.add(std::move(m));
-  }
+  // A final structural snapshot row closes every run.
+  phase_metrics m;
+  m.phase = "shape";
+  const auto before = be_.counters();
+  const auto s = be_.shape();
+  m.height = s.height;
+  m.max_degree = s.max_degree;
+  m.avg_degree = s.avg_degree;
+  m.routing_state = s.routing_state;
+  m.legal = be_.legal() ? 1 : 0;
+  finish_row(m, before);
+  rec.add(std::move(m));
   return rec;
 }
 
@@ -516,11 +515,6 @@ std::size_t scenario_runner::crash_burst(double fraction, std::size_t count,
                                          bool include_root) {
   return do_crash(own_ctx(),
                   crash_burst_phase{fraction, count, include_root}, nullptr);
-}
-
-std::size_t scenario_runner::leave_wave(double fraction, std::size_t count) {
-  return do_leave(own_ctx(),
-                  controlled_leave_wave_phase{fraction, count}, nullptr);
 }
 
 std::size_t scenario_runner::restart_burst(std::size_t count) {

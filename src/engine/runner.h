@@ -12,9 +12,8 @@
 // are comparable in schema only (DESIGN.md §6).
 //
 // The phase executors are also exposed as primitives (populate, converge,
-// publish_sweep, ...) for tests and tools that need to interleave
-// scripted operations with direct backend manipulation; analysis::testbed
-// is a thin shim over these.
+// publish_sweep, ...) for tests, benches and tools that need to
+// interleave scripted operations with direct backend manipulation.
 #ifndef DRT_ENGINE_RUNNER_H
 #define DRT_ENGINE_RUNNER_H
 
@@ -33,9 +32,6 @@ struct runner_config {
   /// Profile used by the *primitive* calls; scenario runs use the
   /// scenario's own profile (and a fresh RNG seeded from it).
   workload_profile workload{};
-  int default_converge_rounds = 300;
-  /// Append a final "shape" row (structural snapshot) to every run().
-  bool final_shape_row = true;
   /// Observer invoked after every stabilization round of a converge
   /// phase (round-by-round demos hook this).
   std::function<void(int round, bool legal)> on_converge_round;
@@ -69,7 +65,6 @@ class scenario_runner {
       workload::event_family family = workload::event_family::uniform);
   /// Stabilization rounds until legal; rounds needed, or -1.
   int converge(int max_rounds);
-  int converge() { return converge(config_.default_converge_rounds); }
   /// Interleaved joins/leaves; returns ops performed.
   std::size_t churn_wave(std::size_t ops, double join_fraction = 0.5,
                          std::size_t min_population = 4);
@@ -77,8 +72,6 @@ class scenario_runner {
   /// when asked); returns crashes performed (0 without cap_crash).
   std::size_t crash_burst(double fraction, std::size_t count = 0,
                           bool include_root = false);
-  /// Controlled departures; returns leaves performed.
-  std::size_t leave_wave(double fraction, std::size_t count = 0);
   /// Revive up to `count` most recently crashed subscriptions.
   std::size_t restart_burst(std::size_t count);
   /// Scramble backend state; returns mutations performed.
@@ -99,7 +92,7 @@ class scenario_runner {
   const engine::backend& backend() const { return be_; }
   util::rng& rng() { return rng_; }
   /// Every filter subscribed through the *primitives* (event generation
-  /// targets historical interests, exactly like the old testbed).
+  /// targets historical interests).
   /// Scenario runs keep their own run-local history.
   const std::vector<spatial::box>& filters() const { return filters_; }
   /// Primitive-side crash stack consumed by restart_burst (most recent

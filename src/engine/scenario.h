@@ -177,8 +177,7 @@ const char* phase_name(const phase& p);
 /// DHT grid): generated filters and events are drawn over it, and a
 /// mismatch silently clamps them into a corner of the overlay's space.
 /// Both default to the same 1000x1000 square; set the builder's
-/// `workspace()` when the backend uses anything else (the
-/// analysis::testbed shim aligns them automatically).
+/// `workspace()` when the backend uses anything else.
 struct workload_profile {
   workload::subscription_family family =
       workload::subscription_family::uniform;

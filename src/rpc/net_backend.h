@@ -61,9 +61,6 @@ class net_backend final : public backend {
 
   /// True while the connection (and so the daemon) is healthy.
   bool connected() const { return client_.ok(); }
-  rpc::client& raw_client() { return client_; }
-  /// The spawned service, nullptr when attached by port.
-  rpc::service* spawned_service() { return service_.get(); }
   std::uint16_t port() const { return port_; }
 
  private:

@@ -111,13 +111,6 @@ void simulator::restart(process_id id) {
   p.on_start();
 }
 
-std::vector<process_id> simulator::live_processes() const {
-  std::vector<process_id> out;
-  out.reserve(processes_.size());
-  for_each_live([&out](process_id id) { out.push_back(id); });
-  return out;
-}
-
 void simulator::send(process_id from, process_id to, std::uint64_t type) {
   post_message(from, to, type, envelope{});
 }

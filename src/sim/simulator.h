@@ -144,8 +144,6 @@ class simulator {
   process_id nth_live(std::size_t k) const { return live_.nth(k); }
   /// Live ids strictly below `id`, in O(log N).
   std::size_t live_rank(process_id id) const { return live_.rank(id); }
-  /// Allocating snapshot; prefer for_each_live()/live_count() in loops.
-  std::vector<process_id> live_processes() const;
   std::size_t process_count() const { return processes_.size(); }
 
   // ----------------------------------------------------------- messaging

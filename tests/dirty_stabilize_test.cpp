@@ -14,13 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 
 #include "drtree/checker.h"
 #include "drtree/corruptor.h"
 #include "engine/backends.h"
 #include "engine/runner.h"
 #include "engine/scenario.h"
+#include "rig.h"
 
 namespace drt::overlay {
 namespace {
@@ -29,23 +29,7 @@ using engine::drtree_backend;
 using engine::scenario_runner;
 using spatial::kNoPeer;
 using spatial::peer_id;
-
-/// A populated DR-tree behind the engine interface, with white-box
-/// access for fault staging (same rig as stabilizer_test).
-struct rig {
-  explicit rig(engine::overlay_backend_config config)
-      : backend(std::make_unique<drtree_backend>(config)),
-        runner(std::make_unique<scenario_runner>(*backend)) {}
-
-  void populate(std::size_t n) { runner->populate(n); }
-  int converge(int max_rounds = 80) { return runner->converge(max_rounds); }
-  int step_rounds(int rounds) { return runner->step_rounds(rounds); }
-  bool legal() const { return backend->legal(); }
-  dr_overlay& overlay() { return backend->overlay(); }
-
-  std::unique_ptr<drtree_backend> backend;
-  std::unique_ptr<scenario_runner> runner;
-};
+using test::rig;
 
 engine::overlay_backend_config mode_config(stabilize_mode mode,
                                            std::uint64_t seed) {
@@ -53,14 +37,6 @@ engine::overlay_backend_config mode_config(stabilize_mode mode,
   bc.net.seed = seed;
   bc.dr.stabilize = mode;
   return bc;
-}
-
-peer_id interior_non_root(rig& r) {
-  const auto root = r.overlay().current_root();
-  for (const auto p : r.overlay().live_peers()) {
-    if (p != root && r.overlay().peer(p).top() > 0) return p;
-  }
-  return kNoPeer;
 }
 
 // ------------------------------------------------- full-mode golden pin
@@ -200,7 +176,7 @@ TEST(DirtyStabilize, SilentCorruptionRepairedByBackgroundSweep) {
       // Drain the post-join backlog so the corruption is the only
       // outstanding fault when it lands.
       const int stride = static_cast<int>(bc.dr.sweep_stride);
-      r.step_rounds(stride);
+      r.runner.step_rounds(stride);
 
       corruptor c(r.overlay(), seed * 131 + static_cast<std::uint64_t>(kind));
       switch (kind) {
@@ -210,19 +186,19 @@ TEST(DirtyStabilize, SilentCorruptionRepairedByBackgroundSweep) {
           break;
         }
         case silent_fault::parent: {
-          const auto victim = interior_non_root(r);
+          const auto victim = r.interior_non_root();
           ASSERT_NE(victim, kNoPeer);
           c.scramble_parent(victim, r.overlay().peer(victim).top());
           break;
         }
         case silent_fault::children: {
-          const auto victim = interior_non_root(r);
+          const auto victim = r.interior_non_root();
           ASSERT_NE(victim, kNoPeer);
           c.scramble_children(victim, r.overlay().peer(victim).top());
           break;
         }
         case silent_fault::flag: {
-          const auto victim = interior_non_root(r);
+          const auto victim = r.interior_non_root();
           ASSERT_NE(victim, kNoPeer);
           c.flip_underloaded(victim, r.overlay().peer(victim).top());
           break;
@@ -252,23 +228,23 @@ TEST(DirtyStabilize, QuiescentBacklogDrainsAndPassCountCollapses) {
     r->populate(48);
     ASSERT_GE(r->converge(), 0);
     // One full sweep window drains join-time marks.
-    r->step_rounds(
-        static_cast<int>(r->backend->overlay().config().sweep_stride));
+    r->runner.step_rounds(
+        static_cast<int>(r->backend.overlay().config().sweep_stride));
   }
   EXPECT_EQ(dirty.overlay().dirty_pending(), 0u)
       << "backlog did not drain at quiescence";
 
-  const auto full0 = full.backend->counters();
-  const auto dirty0 = dirty.backend->counters();
+  const auto full0 = full.backend.counters();
+  const auto dirty0 = dirty.backend.counters();
   const int window = 32;
-  full.step_rounds(window);
-  dirty.step_rounds(window);
+  full.runner.step_rounds(window);
+  dirty.runner.step_rounds(window);
   const auto full_visited =
-      full.backend->counters().stabilize_visited - full0.stabilize_visited;
+      full.backend.counters().stabilize_visited - full0.stabilize_visited;
   const auto dirty_visited =
-      dirty.backend->counters().stabilize_visited - dirty0.stabilize_visited;
+      dirty.backend.counters().stabilize_visited - dirty0.stabilize_visited;
   const auto dirty_skipped =
-      dirty.backend->counters().stabilize_skipped - dirty0.stabilize_skipped;
+      dirty.backend.counters().stabilize_skipped - dirty0.stabilize_skipped;
 
   // Full mode visits everyone every round; dirty visits ~population/K
   // per round (background sweep only).  4x is a loose floor on the
@@ -288,19 +264,19 @@ TEST(DirtyStabilize, ChurnMarksThenQuiesces) {
   rig r(mode_config(stabilize_mode::dirty, 47));
   r.populate(40);
   ASSERT_GE(r.converge(), 0);
-  r.step_rounds(static_cast<int>(r.overlay().config().sweep_stride));
+  r.runner.step_rounds(static_cast<int>(r.overlay().config().sweep_stride));
   ASSERT_EQ(r.overlay().dirty_pending(), 0u);
 
   // A crash marks the dead peer's neighborhood: backlog becomes nonzero
   // without any stabilization having run yet.
-  const auto victim = interior_non_root(r);
+  const auto victim = r.interior_non_root();
   ASSERT_NE(victim, kNoPeer);
   r.overlay().crash(victim);
   EXPECT_GT(r.overlay().dirty_pending(), 0u)
       << "crash did not mark the survivors that must repair around it";
 
   ASSERT_GE(r.converge(120), 0);
-  r.step_rounds(static_cast<int>(r.overlay().config().sweep_stride));
+  r.runner.step_rounds(static_cast<int>(r.overlay().config().sweep_stride));
   EXPECT_EQ(r.overlay().dirty_pending(), 0u)
       << "backlog did not re-drain after repair";
   EXPECT_TRUE(r.legal());

@@ -4,26 +4,25 @@
 // DOT renderers and per-instance data structures.
 #include <gtest/gtest.h>
 
-#include "analysis/harness.h"
 #include "drtree/checker.h"
 #include "drtree/dot.h"
 #include "drtree/overlay.h"
+#include "rig.h"
 
 namespace drt::overlay {
 namespace {
 
-using analysis::harness_config;
-using analysis::testbed;
 using geo::make_rect2;
 using spatial::kNoPeer;
 using spatial::peer_id;
+using test::rig;
 
-harness_config quiet_config(std::uint64_t seed = 1) {
-  harness_config hc;
-  hc.net.seed = seed;
-  hc.dr.min_children = 2;
-  hc.dr.max_children = 4;
-  return hc;
+engine::overlay_backend_config quiet_config(std::uint64_t seed = 1) {
+  engine::overlay_backend_config bc;
+  bc.net.seed = seed;
+  bc.dr.min_children = 2;
+  bc.dr.max_children = 4;
+  return bc;
 }
 
 // ------------------------------------------------------------- instance
@@ -44,49 +43,48 @@ TEST(Instance, ChildSetOperations) {
 // ------------------------------------------------------------ check_mbr
 
 TEST(CheckMbr, LeafRestoresFilter) {
-  testbed tb(quiet_config(3));
-  const auto a = tb.add(make_rect2(0, 0, 10, 10));
-  auto& peer = tb.overlay().peer(a);
+  rig dr(quiet_config(3));
+  const auto a = dr.add(make_rect2(0, 0, 10, 10));
+  auto& peer = dr.overlay().peer(a);
   peer.inst(0).mbr = make_rect2(5, 5, 6, 6);
   peer.check_mbr(0);
   EXPECT_EQ(peer.inst(0).mbr, peer.filter());
 }
 
 TEST(CheckMbr, InteriorRecomputesUnionOfChildren) {
-  testbed tb(quiet_config(5));
-  const auto a = tb.add(make_rect2(0, 0, 10, 10));
-  const auto b = tb.add(make_rect2(20, 20, 500, 500));
-  tb.overlay().settle();
-  tb.converge();
-  const auto root = tb.overlay().current_root();
+  rig dr(quiet_config(5));
+  const auto a = dr.add(make_rect2(0, 0, 10, 10));
+  const auto b = dr.add(make_rect2(20, 20, 500, 500));
+  dr.overlay().settle();
+  dr.converge();
+  const auto root = dr.overlay().current_root();
   ASSERT_EQ(root, b);  // larger coverage wins the election
-  auto& root_peer = tb.overlay().peer(root);
+  auto& root_peer = dr.overlay().peer(root);
   root_peer.inst(1).mbr = make_rect2(0, 0, 1, 1);  // corrupt
   root_peer.check_mbr(1);
   EXPECT_EQ(root_peer.inst(1).mbr,
-            join(tb.overlay().peer(a).filter(),
-                 tb.overlay().peer(b).filter()));
+            join(dr.overlay().peer(a).filter(),
+                 dr.overlay().peer(b).filter()));
 }
 
 // --------------------------------------------------------- check_parent
 
 TEST(CheckParent, NonTopInstanceRepairsOwnChainLocally) {
-  testbed tb(quiet_config(7));
-  testbed* tbp = &tb;
+  rig dr(quiet_config(7));
   // Build until some peer owns at least heights 0..2.
   peer_id deep = kNoPeer;
   for (int n = 0; n < 40 && deep == kNoPeer; ++n) {
-    tbp->populate(1);
-    tbp->converge();
-    for (const auto p : tbp->overlay().live_peers()) {
-      if (tbp->overlay().peer(p).top() >= 2) {
+    dr.populate(1);
+    dr.converge();
+    for (const auto p : dr.overlay().live_peers()) {
+      if (dr.overlay().peer(p).top() >= 2) {
         deep = p;
         break;
       }
     }
   }
   ASSERT_NE(deep, kNoPeer);
-  auto& peer = tbp->overlay().peer(deep);
+  auto& peer = dr.overlay().peer(deep);
   // Corrupt the own-chain parent pointer of a non-top instance.
   peer.inst(0).parent = kNoPeer;
   peer.check_parent(0);
@@ -96,39 +94,39 @@ TEST(CheckParent, NonTopInstanceRepairsOwnChainLocally) {
 }
 
 TEST(CheckParent, UnlistedTopRejoins) {
-  testbed tb(quiet_config(11));
-  tb.populate(12);
-  tb.converge();
-  const auto root = tb.overlay().current_root();
+  rig dr(quiet_config(11));
+  dr.populate(12);
+  dr.converge();
+  const auto root = dr.overlay().current_root();
   peer_id victim = kNoPeer;
-  for (const auto p : tb.overlay().live_peers()) {
-    if (p != root && tb.overlay().peer(p).top() == 0) {
+  for (const auto p : dr.overlay().live_peers()) {
+    if (p != root && dr.overlay().peer(p).top() == 0) {
       victim = p;
       break;
     }
   }
   ASSERT_NE(victim, kNoPeer);
-  auto& vp = tb.overlay().peer(victim);
+  auto& vp = dr.overlay().peer(victim);
   const auto old_parent = vp.inst(0).parent;
   // Remove the victim from its parent's children set (one-sided fault).
-  tb.overlay().peer(old_parent).inst(1).remove_child(victim);
+  dr.overlay().peer(old_parent).inst(1).remove_child(victim);
   vp.check_parent(0);
   // Fig. 11: "the node sets itself as parent and initiates a join".
   EXPECT_EQ(vp.inst(0).parent, victim);
   // The join probe is in flight; draining re-attaches the victim.
-  tb.overlay().settle();
-  ASSERT_GE(tb.converge(60), 0);
-  EXPECT_TRUE(tb.legal());
+  dr.overlay().settle();
+  ASSERT_GE(dr.converge(60), 0);
+  EXPECT_TRUE(dr.legal());
 }
 
 // ------------------------------------------------------- check_children
 
 TEST(CheckChildren, DiscardsDeadAndForeignChildren) {
-  testbed tb(quiet_config(13));
-  tb.populate(12);
-  tb.converge();
-  const auto root = tb.overlay().current_root();
-  auto& rp = tb.overlay().peer(root);
+  rig dr(quiet_config(13));
+  dr.populate(12);
+  dr.converge();
+  const auto root = dr.overlay().current_root();
+  auto& rp = dr.overlay().peer(root);
   const auto h = rp.top();
   const auto before = rp.inst(h).children.size();
 
@@ -141,10 +139,10 @@ TEST(CheckChildren, DiscardsDeadAndForeignChildren) {
     }
   }
   ASSERT_NE(dead_child, kNoPeer);
-  tb.overlay().crash(dead_child);
+  dr.overlay().crash(dead_child);
   // Foreign: a peer whose parent is someone else.
   peer_id foreign = kNoPeer;
-  for (const auto p : tb.overlay().live_peers()) {
+  for (const auto p : dr.overlay().live_peers()) {
     if (p != root && !rp.inst(h).has_child(p)) {
       foreign = p;
       break;
@@ -160,15 +158,15 @@ TEST(CheckChildren, DiscardsDeadAndForeignChildren) {
   EXPECT_LE(rp.inst(h).children.size(), before);
   // The underloaded flag reflects the new size.
   EXPECT_EQ(rp.inst(h).underloaded,
-            rp.inst(h).children.size() < tb.config().dr.min_children);
+            rp.inst(h).children.size() < dr.overlay().config().min_children);
 }
 
 TEST(CheckChildren, ChildlessInteriorDissolves) {
-  testbed tb(quiet_config(17));
-  tb.populate(8);
-  tb.converge();
-  const auto root = tb.overlay().current_root();
-  auto& rp = tb.overlay().peer(root);
+  rig dr(quiet_config(17));
+  dr.populate(8);
+  dr.converge();
+  const auto root = dr.overlay().current_root();
+  auto& rp = dr.overlay().peer(root);
   const auto h = rp.top();
   ASSERT_GT(h, 0u);
   rp.inst(h).children.clear();
@@ -177,14 +175,14 @@ TEST(CheckChildren, ChildlessInteriorDissolves) {
 }
 
 TEST(CheckChildren, SingletonRootDemotesItself) {
-  testbed tb(quiet_config(19));
-  const auto a = tb.add(make_rect2(0, 0, 50, 50));
-  const auto b = tb.add(make_rect2(10, 10, 20, 20));
-  tb.overlay().settle();
-  tb.converge();
-  const auto root = tb.overlay().current_root();
+  rig dr(quiet_config(19));
+  const auto a = dr.add(make_rect2(0, 0, 50, 50));
+  const auto b = dr.add(make_rect2(10, 10, 20, 20));
+  dr.overlay().settle();
+  dr.converge();
+  const auto root = dr.overlay().current_root();
   ASSERT_EQ(root, a);
-  auto& rp = tb.overlay().peer(root);
+  auto& rp = dr.overlay().peer(root);
   // Remove the non-self child: the root instance holds only itself.
   rp.inst(1).remove_child(b);
   rp.check_children(1);
@@ -195,16 +193,16 @@ TEST(CheckChildren, SingletonRootDemotesItself) {
 // ----------------------------------------------------------- check_cover
 
 TEST(CheckCover, PromotesBetterCoveringChild) {
-  testbed tb(quiet_config(23));
-  const auto small = tb.add(make_rect2(0, 0, 10, 10));
-  const auto big = tb.add(make_rect2(0, 0, 800, 800));
-  tb.overlay().settle();
-  tb.converge();
-  ASSERT_EQ(tb.overlay().current_root(), big);
+  rig dr(quiet_config(23));
+  const auto small = dr.add(make_rect2(0, 0, 10, 10));
+  const auto big = dr.add(make_rect2(0, 0, 800, 800));
+  dr.overlay().settle();
+  dr.converge();
+  ASSERT_EQ(dr.overlay().current_root(), big);
 
   // Manually invert the hierarchy: small leads, big beneath.
-  auto& bp = tb.overlay().peer(big);
-  auto& sp = tb.overlay().peer(small);
+  auto& bp = dr.overlay().peer(big);
+  auto& sp = dr.overlay().peer(small);
   bp.erase_inst(1);
   auto& si = sp.ensure_inst(1);
   si.parent = small;
@@ -224,15 +222,15 @@ TEST(CheckCover, PromotesBetterCoveringChild) {
 // ------------------------------------------------------------------ dot
 
 TEST(Dot, RendersInstanceAndPeerGraphs) {
-  testbed tb(quiet_config(29));
-  tb.populate(10);
-  tb.converge();
-  const auto instances = to_dot_instances(tb.overlay());
+  rig dr(quiet_config(29));
+  dr.populate(10);
+  dr.converge();
+  const auto instances = to_dot_instances(dr.overlay());
   EXPECT_NE(instances.find("digraph drtree"), std::string::npos);
   EXPECT_NE(instances.find("(root)"), std::string::npos);
   EXPECT_NE(instances.find("->"), std::string::npos);
 
-  const auto peers = to_dot_peers(tb.overlay());
+  const auto peers = to_dot_peers(dr.overlay());
   EXPECT_NE(peers.find("graph drtree_peers"), std::string::npos);
   EXPECT_NE(peers.find("--"), std::string::npos);
 }
@@ -240,17 +238,17 @@ TEST(Dot, RendersInstanceAndPeerGraphs) {
 // ----------------------------------------------------- join edge cases
 
 TEST(JoinEdgeCases, DuplicateJoinProbesAreHarmless) {
-  testbed tb(quiet_config(31));
-  tb.populate(10);
-  tb.converge();
+  rig dr(quiet_config(31));
+  dr.populate(10);
+  dr.converge();
   // The root's stabilize pass sends probes every period; run many periods
   // and verify the structure neither churns nor corrupts.
-  const auto before = tb.report();
+  const auto before = dr.report();
   for (int i = 0; i < 10; ++i) {
-    tb.overlay().advance(tb.config().dr.stabilize_period);
-    tb.overlay().settle();
+    dr.overlay().advance(dr.overlay().config().stabilize_period);
+    dr.overlay().settle();
   }
-  const auto after = tb.report();
+  const auto after = dr.report();
   EXPECT_TRUE(after.legal());
   EXPECT_EQ(after.height, before.height);
   EXPECT_EQ(after.live_peers, before.live_peers);
@@ -260,22 +258,22 @@ TEST(JoinEdgeCases, TallerFragmentAbsorbsShorterTree) {
   // Build two overlays in one simulator world: fragment A (well grown)
   // and a lone root B; B's probe must end with a single legal tree no
   // matter which side absorbs.
-  testbed tb(quiet_config(37));
-  tb.populate(20);
-  tb.converge();
+  rig dr(quiet_config(37));
+  dr.populate(20);
+  dr.converge();
   // Detach a subtree by crashing its parent chain... simpler: add a peer
   // whose join probe is lost (message loss burst), leaving it a fragment
   // root, then let stabilization merge it.
-  const auto loner = tb.overlay().add_peer(make_rect2(1, 1, 2, 2));
+  const auto loner = dr.overlay().add_peer(make_rect2(1, 1, 2, 2));
   // Do not settle: drop everything in flight by crashing and restarting
   // the loner (its outgoing probe dies with it).
-  tb.overlay().crash(loner);
-  tb.overlay().settle();
-  tb.overlay().sim().restart(loner);
-  EXPECT_TRUE(tb.overlay().peer(loner).is_root());
-  ASSERT_GE(tb.converge(80), 0);
-  EXPECT_TRUE(tb.legal());
-  EXPECT_EQ(tb.report().reachable, 21u);
+  dr.overlay().crash(loner);
+  dr.overlay().settle();
+  dr.overlay().sim().restart(loner);
+  EXPECT_TRUE(dr.overlay().peer(loner).is_root());
+  ASSERT_GE(dr.converge(80), 0);
+  EXPECT_TRUE(dr.legal());
+  EXPECT_EQ(dr.report().reachable, 21u);
 }
 
 }  // namespace

@@ -13,7 +13,13 @@
 //    skipped, never silently faked.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <string>
+
+#include <unistd.h>
 
 #include "baselines/containment_tree.h"
 #include "baselines/flooding.h"
@@ -273,6 +279,41 @@ TEST(Determinism, DrtreeAndBrokerAgreeOnChurnFreeTimeline) {
   EXPECT_EQ(sweep_dr->false_positives, sweep_br->false_positives);
   EXPECT_EQ(sweep_dr->messages, sweep_br->messages);
   EXPECT_EQ(sweep_dr->max_hops, sweep_br->max_hops);
+}
+
+TEST(Determinism, BrokerKeepsTheFlightRecorder) {
+  // The façade drives the overlay's trace ring exactly like
+  // drtree_backend: trace() reaches it, and dump_flight() writes it under
+  // $DRT_DUMP_DIR.
+  auto bc = small_config(29);
+  bc.dr.trace = obs::trace_mode::ring;
+  drtree_backend dr(bc);
+  scenario_runner rd(dr);
+  rd.populate(12);
+  broker_backend br(bc);
+  scenario_runner rb(br);
+  rb.populate(12);
+  ASSERT_NE(br.trace(), nullptr);
+  EXPECT_GT(br.trace()->size(), 0u);
+  EXPECT_EQ(br.trace()->size(), dr.trace()->size());
+
+  char dir[] = "/tmp/drt_engine_test_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir), nullptr);
+  const char* prev = std::getenv("DRT_DUMP_DIR");
+  const std::string saved = prev != nullptr ? prev : "";
+  ::setenv("DRT_DUMP_DIR", dir, 1);
+  const auto path = br.dump_flight("broker trace");
+  if (prev != nullptr) {
+    ::setenv("DRT_DUMP_DIR", saved.c_str(), 1);
+  } else {
+    ::unsetenv("DRT_DUMP_DIR");
+  }
+  ASSERT_FALSE(path.empty());
+  EXPECT_EQ(path.rfind(dir, 0), 0u) << path;
+  EXPECT_TRUE(std::ifstream(path).good()) << path;
+  std::remove(path.c_str());
+  std::remove((path.substr(0, path.size() - 4) + ".trace.json").c_str());
+  ::rmdir(dir);
 }
 
 // -------------------------------------------------- cross-backend runs

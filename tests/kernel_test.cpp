@@ -267,7 +267,7 @@ TEST(ShardedBackend, ShardsStayLegalAndAccountCrossTraffic) {
   engine::sharded_drtree_backend be({}, 3);
   engine::scenario_runner r(be);
   r.populate(30);
-  r.converge();
+  r.converge(300);
   EXPECT_TRUE(be.legal());
   EXPECT_EQ(be.population(), 30u);
   EXPECT_EQ(be.shards(), 3u);

@@ -22,7 +22,6 @@
 #include <dirent.h>
 #include <unistd.h>
 
-#include "analysis/harness.h"
 #include "drtree/checker.h"
 #include "drtree/corruptor.h"
 #include "engine/backends.h"
@@ -30,6 +29,7 @@
 #include "engine/scenario.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rig.h"
 
 // ------------------------------------------------------------------ alloc
 // Global allocation counter: every operator new in this binary bumps it.
@@ -557,22 +557,23 @@ TEST(FlightDump, UnwritableDirectoryReturnsEmptyNotAbort) {
 
 TEST(FlightDump, FirstFalseNegativeDumpsAutomatically) {
   scoped_dump_dir tmp;
-  analysis::harness_config hc;
-  hc.net.seed = 5;
-  hc.workload_seed = 498;
-  hc.dr.min_children = 2;
-  hc.dr.max_children = 6;
-  hc.dr.trace = trace_mode::ring;  // trace_dump defaults to true
-  analysis::testbed tb(hc);
-  tb.populate(40);
-  ASSERT_GE(tb.converge(), 0);
+  engine::overlay_backend_config bc;
+  bc.net.seed = 5;
+  bc.dr.min_children = 2;
+  bc.dr.max_children = 6;
+  bc.dr.trace = trace_mode::ring;  // trace_dump defaults to true
+  engine::workload_profile wl;
+  wl.seed = 498;
+  test::rig dr(bc, wl);
+  dr.populate(40);
+  ASSERT_GE(dr.converge(), 0);
   // Corrupt the converged structure and publish before repair: some
   // interested peers are unreachable, so the sweep observes false
   // negatives and the overlay freezes its flight recorder once.
-  overlay::corruptor c(tb.overlay(), 11);
+  overlay::corruptor c(dr.overlay(), 11);
   c.corrupt(overlay::uniform_corruption(0.6));
   const auto acc =
-      tb.publish_sweep(100, workload::event_family::matching);
+      dr.runner.publish_sweep(100, workload::event_family::matching);
   ASSERT_GT(acc.false_negatives, 0u)
       << "corruption failed to induce a false negative; pick a new seed";
   const auto dumps = tmp.list("drt_flight_first-false-negative_");
@@ -591,17 +592,17 @@ TEST(FlightDump, FirstFalseNegativeDumpsAutomatically) {
 
 TEST(FlightDump, CheckerViolationNamesDumpInReport) {
   scoped_dump_dir tmp;
-  analysis::harness_config hc;
-  hc.net.seed = 9;
-  hc.dr.min_children = 2;
-  hc.dr.max_children = 6;
-  hc.dr.trace = trace_mode::ring;
-  analysis::testbed tb(hc);
-  tb.populate(30);
-  ASSERT_GE(tb.converge(), 0);
-  overlay::corruptor c(tb.overlay(), 13);
+  engine::overlay_backend_config bc;
+  bc.net.seed = 9;
+  bc.dr.min_children = 2;
+  bc.dr.max_children = 6;
+  bc.dr.trace = trace_mode::ring;
+  test::rig dr(bc);
+  dr.populate(30);
+  ASSERT_GE(dr.converge(), 0);
+  overlay::corruptor c(dr.overlay(), 13);
   ASSERT_GT(c.corrupt(overlay::uniform_corruption(0.5)), 0u);
-  const auto report = tb.report();
+  const auto report = dr.report();
   ASSERT_FALSE(report.legal());
   ASSERT_FALSE(report.dump_path.empty());
   const auto text = slurp(report.dump_path);
@@ -609,7 +610,7 @@ TEST(FlightDump, CheckerViolationNamesDumpInReport) {
   EXPECT_NE(text.find(report.violations.front()), std::string::npos);
   // The auto-dump is one-shot per overlay: a second check reports the
   // same violations but does not write another dump.
-  const auto again = tb.report();
+  const auto again = dr.report();
   EXPECT_FALSE(again.legal());
   EXPECT_TRUE(again.dump_path.empty());
 }

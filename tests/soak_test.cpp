@@ -14,33 +14,24 @@
 //    evolving population, which a static timeline cannot express).
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "drtree/checker.h"
 #include "drtree/corruptor.h"
 #include "engine/backends.h"
 #include "engine/runner.h"
 #include "engine/scenario.h"
+#include "rig.h"
 
 namespace drt::engine {
 namespace {
 
-struct rig {
-  explicit rig(std::uint64_t net_seed, std::uint64_t workload_seed,
-               double loss = 0.0) {
-    overlay_backend_config bc;
-    bc.net.seed = net_seed;
-    bc.net.message_loss = loss;
-    backend = std::make_unique<drtree_backend>(bc);
-    runner_config rc;
-    rc.workload.seed = workload_seed;
-    runner = std::make_unique<scenario_runner>(*backend, rc);
-  }
-  overlay::dr_overlay& overlay() { return backend->overlay(); }
+using test::rig;
 
-  std::unique_ptr<drtree_backend> backend;
-  std::unique_ptr<scenario_runner> runner;
-};
+overlay_backend_config net_config(std::uint64_t seed, double loss = 0.0) {
+  overlay_backend_config bc;
+  bc.net.seed = seed;
+  bc.net.message_loss = loss;
+  return bc;
+}
 
 struct fuzz_params {
   std::uint64_t seed;
@@ -54,9 +45,9 @@ class FuzzTest : public ::testing::TestWithParam<fuzz_params> {};
 
 TEST_P(FuzzTest, AdversarialScheduleAlwaysReconverges) {
   const auto param = GetParam();
-  rig r(param.seed, param.seed * 31 + 7);
-  auto& be = *r.backend;
-  auto& runner = *r.runner;
+  rig r(net_config(param.seed), {.seed = param.seed * 31 + 7});
+  auto& be = r.backend;
+  auto& runner = r.runner;
   runner.populate(param.initial_peers);
   ASSERT_GE(runner.converge(80), 0);
 
@@ -122,7 +113,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Soak, SustainedChurnWithPeriodicAccuracyChecks) {
   // The declarative version: eight epochs of churn + converge + sweep as
   // one scenario, judged entirely from the recorder.
-  rig r(777, 7);
+  rig r(net_config(777));
   const auto sc = scenario::make("sustained_churn")
                       .seed(777)
                       .populate(40)
@@ -136,7 +127,7 @@ TEST(Soak, SustainedChurnWithPeriodicAccuracyChecks) {
                                         workload::event_family::matching);
                               })
                       .build();
-  const auto rec = r.runner->run(sc);
+  const auto rec = r.runner.run(sc);
 
   int epoch = 0;
   for (const auto& m : rec.phases()) {
@@ -156,7 +147,7 @@ TEST(Soak, SustainedChurnWithPeriodicAccuracyChecks) {
 }
 
 TEST(Soak, MessageLossyNetworkStillConverges) {
-  rig r(888, 7, /*loss=*/0.10);
+  rig r(net_config(888, /*loss=*/0.10));
   const auto sc = scenario::make("lossy_churn")
                       .seed(888)
                       .populate(30)
@@ -167,12 +158,12 @@ TEST(Soak, MessageLossyNetworkStillConverges) {
                               })
                       .converge(400)
                       .build();
-  const auto rec = r.runner->run(sc);
+  const auto rec = r.runner.run(sc);
   const auto* heal = rec.last("converge_until_legal");
   ASSERT_NE(heal, nullptr);
   ASSERT_GE(heal->rounds, 0) << "lossy churn never re-converged";
   EXPECT_EQ(heal->legal, 1);
-  EXPECT_TRUE(r.backend->legal());
+  EXPECT_TRUE(r.backend.legal());
 }
 
 }  // namespace

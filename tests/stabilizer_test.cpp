@@ -9,13 +9,12 @@
 // through the backend's overlay accessor.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "drtree/checker.h"
 #include "drtree/corruptor.h"
 #include "engine/backends.h"
 #include "engine/runner.h"
 #include "engine/scenario.h"
+#include "rig.h"
 
 namespace drt::overlay {
 namespace {
@@ -24,26 +23,7 @@ using engine::drtree_backend;
 using engine::scenario_runner;
 using spatial::kNoPeer;
 using spatial::peer_id;
-
-/// A populated DR-tree behind the engine interface, with white-box
-/// access for fault staging.
-struct rig {
-  explicit rig(engine::overlay_backend_config config)
-      : backend(std::make_unique<drtree_backend>(config)),
-        runner(std::make_unique<scenario_runner>(*backend)) {}
-
-  void populate(std::size_t n) { runner->populate(n); }
-  peer_id add(const spatial::box& filter) {
-    return static_cast<peer_id>(runner->add(filter));
-  }
-  int converge(int max_rounds = 80) { return runner->converge(max_rounds); }
-  bool legal() const { return backend->legal(); }
-  dr_overlay& overlay() { return backend->overlay(); }
-  util::rng& rng() { return runner->rng(); }
-
-  std::unique_ptr<drtree_backend> backend;
-  std::unique_ptr<scenario_runner> runner;
-};
+using test::rig;
 
 engine::overlay_backend_config config_with(stabilizer_switches sw,
                                            std::uint64_t seed) {
@@ -51,14 +31,6 @@ engine::overlay_backend_config config_with(stabilizer_switches sw,
   bc.net.seed = seed;
   bc.dr.stabilizers = sw;
   return bc;
-}
-
-peer_id interior_non_root(rig& r) {
-  const auto root = r.overlay().current_root();
-  for (const auto p : r.overlay().live_peers()) {
-    if (p != root && r.overlay().peer(p).top() > 0) return p;
-  }
-  return kNoPeer;
 }
 
 TEST(StabilizerAblation, CheckMbrIsNecessary) {
@@ -106,7 +78,7 @@ TEST(StabilizerAblation, CheckParentIsNecessary) {
   r.populate(30);
   ASSERT_GE(r.converge(), 0);
 
-  const auto victim = interior_non_root(r);
+  const auto victim = r.interior_non_root();
   ASSERT_NE(victim, kNoPeer);
   auto& victim_peer = r.overlay().peer(victim);
   auto& ins = victim_peer.inst(victim_peer.top());
@@ -128,7 +100,7 @@ TEST(StabilizerAblation, CheckParentIsNecessary) {
   rig control(config_with(stabilizer_switches{}, 5));
   control.populate(30);
   ASSERT_GE(control.converge(), 0);
-  const auto victim2 = interior_non_root(control);
+  const auto victim2 = control.interior_non_root();
   ASSERT_NE(victim2, kNoPeer);
   auto& vp2 = control.overlay().peer(victim2);
   auto& ins2 = vp2.inst(vp2.top());
@@ -154,7 +126,7 @@ TEST(StabilizerAblation, CheckChildrenIsNecessary) {
   // Adopt a stranger: the stranger's parent pointer does not change, so
   // only CHECK_CHILDREN ("simply discards the child") can repair it.
   const auto root = r.overlay().current_root();
-  const auto victim = interior_non_root(r);
+  const auto victim = r.interior_non_root();
   ASSERT_NE(victim, kNoPeer);
   auto& victim_peer = r.overlay().peer(victim);
   auto& ins = victim_peer.inst(victim_peer.top());
@@ -282,9 +254,9 @@ TEST(EfficientLeave, HandoffKeepsStructureLegalImmediately) {
   // Remove interior peers one by one; with handoff the structure should
   // be repairable within very few rounds each time.
   for (int i = 0; i < 10; ++i) {
-    const auto victim = interior_non_root(r);
+    const auto victim = r.interior_non_root();
     if (victim == kNoPeer) break;
-    ASSERT_TRUE(r.backend->unsubscribe(victim));
+    ASSERT_TRUE(r.backend.unsubscribe(victim));
     const int rounds = r.converge(40);
     ASSERT_GE(rounds, 0) << "handoff leave " << i << " diverged";
     EXPECT_LE(rounds, 6) << "handoff leave " << i << " needed " << rounds;
@@ -299,7 +271,7 @@ TEST(EfficientLeave, RootHandoffElectsNewRoot) {
   r.populate(30);
   ASSERT_GE(r.converge(), 0);
   const auto root = r.overlay().current_root();
-  ASSERT_TRUE(r.backend->unsubscribe(root));
+  ASSERT_TRUE(r.backend.unsubscribe(root));
   ASSERT_GE(r.converge(60), 0);
   EXPECT_TRUE(r.legal());
   EXPECT_NE(r.overlay().current_root(), kNoPeer);
@@ -314,15 +286,15 @@ TEST(EfficientLeave, CheaperThanFig9Baseline) {
     r.populate(60);
     r.converge();
     auto live = r.overlay().live_peers();
-    r.rng().shuffle(live);
-    const auto m0 = r.backend->counters().messages;
+    r.runner.rng().shuffle(live);
+    const auto m0 = r.backend.counters().messages;
     for (int i = 0; i < 15; ++i) {
-      if (r.backend->alive(live[i])) {
-        r.backend->unsubscribe(live[i]);
+      if (r.backend.alive(live[i])) {
+        r.backend.unsubscribe(live[i]);
       }
     }
     r.converge(300);
-    return r.backend->counters().messages - m0;
+    return r.backend.counters().messages - m0;
   };
   const auto baseline = run(false);
   const auto handoff = run(true);
