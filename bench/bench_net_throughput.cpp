@@ -44,6 +44,10 @@ void run_net_throughput(benchmark::State& state, std::size_t clients,
                         std::size_t batch) {
   drt::rpc::service_config cfg;
   cfg.backend.net.seed = 2007;
+  // bench_publish_throughput's in-process overlay runs dr_config's
+  // default full-mode scheduler; so does this daemon, so the two tables
+  // differ only by transport.
+  cfg.backend.dr.stabilize = drt::overlay::stabilize_mode::full;
   cfg.stabilize_every_ms = 0;  // measure the publish path, not repair
   drt::rpc::service service(cfg);
   std::thread daemon([&service] { service.run(); });

@@ -260,8 +260,11 @@ void dr_peer::stab_on_fire(std::uint32_t gen) {
   if (sim().metrics().messages_sent - msgs_before != probe_sends ||
       levels_.size() != levels_before || repairs_after != repairs_before) {
     // The pass changed something: not at a fixed point yet, revisit next
-    // tick even if no marking site fired (safety net).
+    // tick even if no marking site fired (safety net).  The pass ran
+    // this chain bottom-up, so only the top instance's parent, on
+    // another peer, has checks the change may have broken.
     overlay_.mark_dirty(pid(), 0);
+    mark_foreign_parent(inst(top()), top());
   }
   stab_arm();
 }
@@ -521,7 +524,9 @@ void dr_peer::descend_join(std::size_t h, dr_msg m) {
     auto* ins = find_inst(h);
     if (ins == nullptr || h <= m.h) return;  // corrupted route: retry later
     // "adjusts its MBR in order to include the new subscription"
-    ins->mbr = join(ins->mbr, m.mbr);
+    const auto grown = join(ins->mbr, m.mbr);
+    if (!(grown == ins->mbr)) mark_foreign_parent(*ins, h);
+    ins->mbr = grown;
     overlay_.mark_dirty(pid(), h);  // MBR grew on the descent path
     if (h == m.h + 1) {
       add_child_at(m.h, m.subject, m.mbr);
@@ -631,7 +636,9 @@ void dr_peer::add_child_at(std::size_t t, peer_id q, const box& q_mbr) {
     ins.add_child(q);
     auto& qi = qp.ensure_inst(t);
     qi.parent = pid();
-    ins.mbr = join(ins.mbr, qi.mbr.is_empty() ? q_mbr : qi.mbr);
+    const auto grown = join(ins.mbr, qi.mbr.is_empty() ? q_mbr : qi.mbr);
+    if (!(grown == ins.mbr)) mark_foreign_parent(ins, t + 1);
+    ins.mbr = grown;
     ins.underloaded = ins.children.size() < overlay_.config().min_children;
     overlay_.mark_dirty(pid(), t + 1);
     overlay_.mark_dirty(q, t);
@@ -949,21 +956,31 @@ void dr_peer::rejoin_fragment(std::size_t h) {
 void dr_peer::compute_mbr(std::size_t h) {
   auto* ins = find_inst(h);
   if (ins == nullptr) return;
-  if (h == 0) {
-    ins->mbr = filter_;
-    return;
-  }
-  auto r = box::empty();
-  for (const auto q : ins->children) {
-    const instance* qi = nullptr;
-    if (q == pid()) {
-      qi = find_inst(h - 1);
-    } else if (sees(q)) {
-      qi = overlay_.peer(q).find_inst(h - 1);
+  auto r = filter_;
+  if (h > 0) {
+    r = box::empty();
+    for (const auto q : ins->children) {
+      const instance* qi = nullptr;
+      if (q == pid()) {
+        qi = find_inst(h - 1);
+      } else if (sees(q)) {
+        qi = overlay_.peer(q).find_inst(h - 1);
+      }
+      if (qi != nullptr) r = join(r, qi->mbr);
     }
-    if (qi != nullptr) r = join(r, qi->mbr);
   }
+  const bool changed = !(ins->mbr == r);
   ins->mbr = r;
+  if (!changed) return;
+  // The parent's MBR is the union over this one and its cover choice
+  // compares it: a parent on another peer must revisit both.  (An own
+  // parent is the next instance up this chain, which the caller's pass
+  // or mark already reaches.)
+  mark_foreign_parent(*ins, h);
+}
+
+void dr_peer::mark_foreign_parent(const instance& ins, std::size_t h) {
+  if (ins.parent != pid()) overlay_.mark_dirty(ins.parent, h + 1);
 }
 
 void dr_peer::check_mbr(std::size_t h) {
@@ -1033,6 +1050,9 @@ void dr_peer::check_children(std::size_t h) {
     repairs_.children_discarded += ins->children.size() - keep.size();
     overlay_.trace_emit(obs::trace_kind::repair, pid(), kRepairChildDiscard,
                         h);
+    // Fewer children may leave this instance underloaded, which only the
+    // parent's CHECK_STRUCTURE repairs.
+    mark_foreign_parent(*ins, h);
   }
   ins->children = std::move(keep);
 

@@ -183,6 +183,10 @@ class dr_peer : public sim::process {
   spatial::peer_id choose_best_child(std::size_t h,
                                      const spatial::box& r) const;
   void compute_mbr(std::size_t h);  // Compute_MBR(p, l)
+  /// Dirty-mark the parent above `ins` (at h + 1) when it is another
+  /// peer: a change to this instance can break an invariant only the
+  /// parent's pass checks.
+  void mark_foreign_parent(const instance& ins, std::size_t h);
 
   bool is_better_mbr_cover(std::size_t h, spatial::peer_id q) const;
   /// Adjust_Parent generalized to keep instance chains contiguous: q

@@ -100,9 +100,7 @@ peer_id broker::entry_peer(client_id publisher) {
 
 publish_outcome broker::publish(client_id publisher,
                                 const spatial::pt& value) {
-  const auto via = entry_peer(publisher);
-  const auto r = overlay_.publish_and_drain(via, value);
-  return outcome_for(r, via, value);
+  return publish_batch(publisher, &value, 1).front();
 }
 
 std::vector<publish_outcome> broker::publish_batch(client_id publisher,

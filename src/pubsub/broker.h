@@ -95,7 +95,7 @@ class broker {
   // ---------------------------------------------------------- publication
   /// Publish an event from one of `publisher`'s subscriptions (or, for a
   /// publisher with none, through any overlay peer) and drain the
-  /// network.
+  /// network: a batch of one.
   publish_outcome publish(client_id publisher, const spatial::pt& value);
 
   /// Publish `n` events in one overlay batch (DESIGN.md §9): the events
@@ -124,8 +124,7 @@ class broker {
   /// The overlay peer a publication from `publisher` enters through: one
   /// of its own live subscribers when it has any, else any live peer.
   spatial::peer_id entry_peer(client_id publisher);
-  /// Client-level aggregation of one drained overlay publication (the
-  /// shared back half of publish and publish_batch).
+  /// Client-level aggregation of one drained overlay publication.
   publish_outcome outcome_for(const overlay::publish_result& r,
                               spatial::peer_id via, const spatial::pt& value);
 

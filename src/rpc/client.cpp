@@ -73,37 +73,43 @@ bool client::roundtrip(frame_type request, const void* body,
   }
 
   std::byte buf[16384];
+  // Frames are decoded at a read offset; the consumed prefix is dropped
+  // once per recv (and before returning), not once per frame.
+  std::size_t off = 0;
+  const auto compact = [&] {
+    rbuf_.erase(rbuf_.begin(),
+                rbuf_.begin() + static_cast<std::ptrdiff_t>(off));
+    off = 0;
+  };
   for (;;) {
     // Drain every complete frame already buffered before reading more.
     for (;;) {
       frame_view frame;
       std::size_t consumed = 0;
-      const auto status =
-          try_decode(rbuf_.data(), rbuf_.size(), frame, consumed);
+      const auto status = try_decode(rbuf_.data() + off, rbuf_.size() - off,
+                                     frame, consumed);
       if (status == decode_status::need_more) break;
       if (status != decode_status::ok) {
         fail();
         return false;
       }
-      bool done = false;
-      bool good = false;
+      off += consumed;
       if (frame.type == frame_type::event_push) {
         event_push_body push;
         if (frame.read(push)) events_.push_back(push);
       } else if (frame.seq == seq && frame.type == expect) {
         payload.assign(frame.payload, frame.payload + frame.size);
-        done = true;
-        good = true;
+        compact();
+        return true;
       } else if (frame.seq == seq && frame.type == frame_type::error) {
         error_body err;
         last_error_ = frame.read(err) ? err.code : 0;
-        done = true;
+        compact();
+        return false;
       }
       // Anything else (a stale reply after a timeout) is dropped.
-      rbuf_.erase(rbuf_.begin(),
-                  rbuf_.begin() + static_cast<std::ptrdiff_t>(consumed));
-      if (done) return good;
     }
+    compact();
 
     const auto n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n > 0) {

@@ -5,7 +5,9 @@
 //   drtd [--port=N] [--stabilize-ms=N] [--seed=N] [--trace=MODE] [--poll]
 //
 //   --port=N          listen port on 127.0.0.1 (default 7450; 0 = ephemeral)
-//   --stabilize-ms=N  wall-clock stabilizer cadence (default 250; 0 = off)
+//   --stabilize-ms=N  wall-clock stabilizer cadence (default 250; 0 = off);
+//                     the hosted overlay schedules its passes in
+//                     stabilize_mode::dirty, which the banner names
 //   --seed=N          hosted overlay's simulator seed (default 1)
 //   --trace=MODE      flight recorder: off (default), ring, or full
 //   --poll            run the event loop on poll(2) instead of epoll
@@ -77,9 +79,10 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
 
-  std::printf("drtd listening on 127.0.0.1:%u (stabilize %u ms, trace %s, "
-              "%s)\n",
+  std::printf("drtd listening on 127.0.0.1:%u (stabilize %u ms %s, "
+              "trace %s, %s)\n",
               service.port(), config.stabilize_every_ms,
+              drt::overlay::to_string(config.backend.dr.stabilize),
               drt::obs::to_string(config.backend.dr.trace),
               config.force_poll ? "poll" : "epoll");
   std::fflush(stdout);

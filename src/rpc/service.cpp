@@ -74,10 +74,12 @@ void service::run() {
     stabilizer = loop_.every(config_.stabilize_every_ms, [this] {
       // Backlog-aware cadence: with dirty-mode stabilization a period
       // with no marked instances runs no round — except every
-      // sweep_stride-th tick, which runs unconditionally so silent
-      // corruption is still found within K wall-clock periods (the same
-      // bound the virtual-time scheduler gives).  Full mode keeps the
-      // legacy round-every-period behavior.
+      // sweep_stride-th tick, which runs unconditionally so the
+      // background sweep keeps moving.  The sweep needs K rounds, so on
+      // an idle daemon silent corruption is found within K * K ticks
+      // (DESIGN.md §11); client operations advance the overlay's clock
+      // too and shorten that.  Full mode keeps the legacy
+      // round-every-period behavior.
       const auto& ov = be_.overlay();
       const bool dirty_mode =
           ov.config().stabilize == overlay::stabilize_mode::dirty;
@@ -151,7 +153,11 @@ void service::on_conn_event(int fd, std::uint32_t events) {
       eof = true;  // hard socket error: treat as disappearance
       break;
     }
-    if (!drain_frames(it->second)) return;  // connection was reaped
+    drain_frames(it->second);
+    // One send() per connection for everything this event produced: the
+    // replies on this connection and the pushes a publish fanned out.
+    flush_unflushed();
+    if (conns_.find(fd) == conns_.end()) return;  // connection was reaped
     if (eof) {
       close_connection(fd);
       return;
@@ -167,8 +173,7 @@ void service::on_conn_event(int fd, std::uint32_t events) {
   }
 }
 
-bool service::drain_frames(connection& conn) {
-  const int fd = conn.fd;
+void service::drain_frames(connection& conn) {
   // A binary frame opens with kMagic ("DRT1"); a plaintext "GET " prefix
   // is an HTTP scrape of /metrics.  Sniff before try_decode — bad magic
   // would otherwise kill the connection.
@@ -179,7 +184,7 @@ bool service::drain_frames(connection& conn) {
   if (conn.http) {
     if (!conn.dead) handle_http(conn);
     reap();
-    return conns_.find(fd) != conns_.end();
+    return;
   }
   std::size_t off = 0;
   while (!conn.dead) {
@@ -199,8 +204,11 @@ bool service::drain_frames(connection& conn) {
     handle_frame(conn, frame);
     off += consumed;
     if (conn.wbuf.size() > config_.max_write_buffer) {
-      ++stats_.protocol_errors;  // dead-slow consumer
-      conn.dead = true;
+      flush(conn);  // replies are deferred; give the socket its chance
+      if (conn.wbuf.size() > config_.max_write_buffer) {
+        ++stats_.protocol_errors;  // dead-slow consumer
+        conn.dead = true;
+      }
     }
   }
   if (off > 0) {
@@ -208,7 +216,6 @@ bool service::drain_frames(connection& conn) {
                     conn.rbuf.begin() + static_cast<std::ptrdiff_t>(off));
   }
   reap();
-  return conns_.find(fd) != conns_.end();
 }
 
 void service::handle_frame(connection& conn, const frame_view& frame) {
@@ -432,6 +439,7 @@ std::string service::build_exposition() {
       stats_.disconnect_unsubscribes;
   reg.counter("drtd_stabilize_rounds_total") = stats_.stabilize_rounds;
   reg.counter("drtd_stabilize_skipped_total") = stats_.stabilize_skipped;
+  reg.counter("drtd_socket_writes_total") = stats_.socket_writes;
   reg.counter("drtd_overlay_messages_total") = be_.counters().messages;
   if (const auto* t = be_.trace()) {
     reg.counter("drtd_trace_records_total") = t->emitted();
@@ -578,7 +586,10 @@ void service::send_bytes(connection& conn, frame_type type,
   put_frame_bytes(scratch_, type, seq, body, body_bytes);
   conn.wbuf.insert(conn.wbuf.end(), scratch_.begin(), scratch_.end());
   ++stats_.frames_out;
-  flush(conn);
+  if (!conn.unflushed) {
+    conn.unflushed = true;
+    unflushed_.push_back(conn.fd);
+  }
 }
 
 void service::send_error(connection& conn, std::uint32_t seq,
@@ -589,8 +600,10 @@ void service::send_error(connection& conn, std::uint32_t seq,
 }
 
 void service::flush(connection& conn) {
+  conn.unflushed = false;
   std::size_t off = 0;
   while (off < conn.wbuf.size()) {
+    ++stats_.socket_writes;
     const auto n = ::send(conn.fd, conn.wbuf.data() + off,
                           conn.wbuf.size() - off, MSG_NOSIGNAL);
     if (n > 0) {
@@ -608,11 +621,25 @@ void service::flush(connection& conn) {
                     conn.wbuf.begin() + static_cast<std::ptrdiff_t>(off));
   }
   if (conn.close_when_drained && conn.wbuf.empty()) conn.dead = true;
-  if (!conn.dead) {
+  const bool want_write = !conn.wbuf.empty();
+  if (!conn.dead && want_write != conn.want_write) {
+    conn.want_write = want_write;
     loop_.set_interest(conn.fd,
                        event_loop::kReadable |
-                           (conn.wbuf.empty() ? 0 : event_loop::kWritable));
+                           (want_write ? event_loop::kWritable : 0));
   }
+}
+
+void service::flush_unflushed() {
+  bool died = false;
+  for (const int fd : unflushed_) {
+    auto it = conns_.find(fd);
+    if (it == conns_.end() || !it->second.unflushed) continue;
+    flush(it->second);
+    died = died || it->second.dead;
+  }
+  unflushed_.clear();
+  if (died) reap();
 }
 
 void service::reap() {

@@ -12,10 +12,18 @@
 // hosted overlay.
 //
 // Determinism: the daemon consumes no RNG of its own and, with
-// `stabilize_every_ms == 0`, injects no wall-clock traffic — the hosted
-// overlay then performs exactly the operations clients send, in arrival
-// order, which is what makes the drtree_backend-vs-net_backend recorder
-// digests bit-identical on a single-client timeline (tests/rpc_test.cpp).
+// `stabilize_every_ms == 0`, injects no wall-clock stabilization rounds.
+// The hosted overlay then runs the operations clients send, in arrival
+// order, plus the peers' own stabilization timers that fall due while
+// each operation drains; both depend only on that order.  That is what
+// makes the drtree_backend-vs-net_backend recorder digests bit-identical
+// on a single-client timeline with the same overlay config
+// (tests/rpc_test.cpp).
+//
+// Writes: a frame is only appended to its connection's buffer.  Every
+// connection touched while handling one readable event is flushed once
+// at the event's end, so a publish's pushes and its report leave in one
+// send() per connection.
 #ifndef DRT_RPC_SERVICE_H
 #define DRT_RPC_SERVICE_H
 
@@ -32,11 +40,23 @@
 
 namespace drt::rpc {
 
+/// The overlay a daemon hosts unless told otherwise: dr_config's
+/// defaults with dirty-set stabilization (DESIGN.md §10–§11).  Every
+/// operation drains the overlay's virtual clock by about one
+/// stabilize_period; in full mode each drain would run a whole round over
+/// all peers, in dirty mode it runs the changed peers plus a
+/// 1/sweep_stride background sweep.
+inline engine::overlay_backend_config hosted_overlay_config() {
+  engine::overlay_backend_config bc;
+  bc.dr.stabilize = overlay::stabilize_mode::dirty;
+  return bc;
+}
+
 struct service_config {
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (read port()).
   std::uint16_t port = 0;
-  /// Configuration of the hosted overlay (workspace, summaries, net).
-  engine::overlay_backend_config backend{};
+  /// Configuration of the hosted overlay (workspace, net, scheduler).
+  engine::overlay_backend_config backend = hosted_overlay_config();
   /// Wall-clock stabilizer cadence: every period the daemon runs one
   /// overlay stabilization round (a timer-wheel periodic).  0 disables
   /// it — required for digest-parity runs, where only client operations
@@ -78,6 +98,8 @@ class service {
     /// Wall-clock stabilizer ticks skipped because the hosted overlay's
     /// dirty backlog was empty (dirty mode only; see service.cpp).
     std::uint64_t stabilize_skipped = 0;
+    /// send() calls on client sockets.
+    std::uint64_t socket_writes = 0;
   };
   /// Direct counter access — loop-thread data, so only read it before
   /// run() starts or after it returned.  The old "never while serving"
@@ -114,6 +136,10 @@ class service {
     bool http = false;
     /// Close once wbuf fully drains (HTTP/1.0 response semantics).
     bool close_when_drained = false;
+    /// Listed in unflushed_ (wbuf gained bytes since the last flush).
+    bool unflushed = false;
+    /// kWritable interest is armed (a residue is waiting for the socket).
+    bool want_write = false;
     /// The exposition snapshot a paged stats read walks; regenerated on
     /// every offset-0 request so a multi-frame read stays consistent.
     std::string stats_cache;
@@ -121,9 +147,9 @@ class service {
 
   void on_accept();
   void on_conn_event(int fd, std::uint32_t events);
-  /// Decode-and-handle loop over a connection's read buffer; false when
-  /// the connection died (and was cleaned up) underneath it.
-  bool drain_frames(connection& conn);
+  /// Decode-and-handle loop over a connection's read buffer; reaps the
+  /// connections that died meanwhile, `conn` possibly among them.
+  void drain_frames(connection& conn);
   void handle_frame(connection& conn, const frame_view& frame);
 
   void handle_subscribe(connection& conn, const frame_view& frame);
@@ -150,13 +176,16 @@ class service {
   void push_deliveries(const overlay::publish_result& result,
                        std::uint64_t publisher, const spatial::pt& value);
 
+  /// Append one frame to conn.wbuf; flush_unflushed() sends it.
   void send_bytes(connection& conn, frame_type type, std::uint32_t seq,
                   const void* body, std::size_t body_bytes);
   void send_error(connection& conn, std::uint32_t seq, wire_errc code);
-  /// Write as much of conn.wbuf as the socket accepts; keeps kWritable
-  /// interest while a residue remains.  Marks the connection dead on a
-  /// hard socket error.
+  /// Write as much of conn.wbuf as the socket accepts; arms kWritable
+  /// interest while a residue remains and disarms it once drained.
+  /// Marks the connection dead on a hard socket error.
   void flush(connection& conn);
+  /// Flush every connection send_bytes() appended to since the last call.
+  void flush_unflushed();
 
   /// Close-and-unsubscribe every connection marked dead.
   void reap();
@@ -176,6 +205,7 @@ class service {
   std::uint64_t stabilize_tick_ = 0;  ///< wall-clock stabilizer periods seen
   std::vector<std::byte> scratch_;  ///< frame-encode scratch
   std::vector<int> scratch_fds_;    ///< reap() collection scratch
+  std::vector<int> unflushed_;      ///< fds whose wbuf awaits a flush
 };
 
 }  // namespace drt::rpc

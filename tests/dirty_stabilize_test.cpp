@@ -282,6 +282,74 @@ TEST(DirtyStabilize, ChurnMarksThenQuiesces) {
   EXPECT_TRUE(r.legal());
 }
 
+// ------------------------------------------------ repair reaches parent
+
+/// A leaf c under a non-root interior q at h1 whose parent P (at h2) is
+/// another non-root peer, picked so that dropping c shrinks q's MBR and
+/// with it the union P must hold.  {q, c, P}, or all kNoPeer.
+struct stale_union_pick {
+  peer_id q = kNoPeer, c = kNoPeer, parent = kNoPeer;
+};
+
+stale_union_pick pick_stale_union(dr_overlay& ov) {
+  const auto root = ov.current_root();
+  for (const auto q : ov.live_peers()) {
+    const auto& qp = ov.peer(q);
+    if (q == root || qp.top() != 1) continue;
+    const auto& qi = qp.inst(1);
+    const auto parent = qi.parent;
+    if (parent == q || parent == root || !ov.alive(parent)) continue;
+    const auto* pi = ov.peer(parent).find_inst(2);
+    if (pi == nullptr) continue;
+    for (const auto c : qi.children) {
+      if (c == q || ov.peer(c).top() != 0) continue;
+      auto q_without_c = spatial::box::empty();
+      for (const auto o : qi.children) {
+        if (o != c) q_without_c = join(q_without_c, ov.peer(o).inst(0).mbr);
+      }
+      auto p_after = spatial::box::empty();
+      for (const auto s : pi->children) {
+        p_after = join(p_after, s == q ? q_without_c
+                                       : ov.peer(s).inst(1).mbr);
+      }
+      if (!(p_after == pi->mbr)) return {q, c, parent};
+    }
+  }
+  return {};
+}
+
+// A crash marks only the dead peer's direct neighbors.  Its parent q
+// then discards the dead child in CHECK_CHILDREN and recomputes a
+// smaller MBR, which leaves q's own parent P holding a stale union (and
+// possibly an underloaded child) that only P's pass repairs.  The MBR
+// change must mark P, so repair takes a round per level as in full mode
+// instead of waiting up to sweep_stride rounds for P's background sweep.
+TEST(DirtyStabilize, ChildMbrChangeMarksForeignParent) {
+  int staged = 0;
+  for (const std::uint64_t seed : {5u, 13u, 21u, 37u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    rig r(mode_config(stabilize_mode::dirty, seed));
+    r.populate(160);
+    ASSERT_GE(r.converge(), 0);
+    r.runner.step_rounds(static_cast<int>(r.overlay().config().sweep_stride));
+    ASSERT_EQ(r.overlay().dirty_pending(), 0u);
+    const auto pick = pick_stale_union(r.overlay());
+    if (pick.q == kNoPeer) continue;
+    ++staged;
+
+    r.overlay().crash(pick.c);
+    const auto parent_slot = r.overlay().peer(pick.parent).slot_for_mark(2);
+    EXPECT_FALSE(r.overlay().is_dirty(parent_slot))
+        << "the crash itself should only mark c's direct neighbors";
+    // One round: q discards c and its MBR shrinks.
+    r.runner.step_rounds(1);
+    EXPECT_FALSE(r.overlay().peer(pick.q).inst(1).has_child(pick.c));
+    const int rounds = r.converge(4);
+    EXPECT_GE(rounds, 0) << "P's stale union outlived four rounds";
+  }
+  EXPECT_GE(staged, 2) << "too few seeds gave a stageable tree";
+}
+
 // ------------------------------------------------- sharded-kernel skip
 
 TEST(DirtyStabilize, ShardedDirtyQuiescesPerShard) {

@@ -774,6 +774,99 @@ TEST(Service, WallClockStabilizerRunsRounds) {
   EXPECT_GE(fx.get().stats().stabilize_rounds, 3u);
 }
 
+// ================================================= hosted-overlay costs
+
+TEST(Service, DefaultConfigHostsADirtyModeOverlay) {
+  EXPECT_EQ(service_config{}.backend.dr.stabilize,
+            overlay::stabilize_mode::dirty);
+  // dr_config's own default, which the parity tests use, stays full.
+  EXPECT_EQ(overlay::dr_config{}.stabilize, overlay::stabilize_mode::full);
+}
+
+/// Timers the hosted overlay fires while one publish drains, on a
+/// quiescent overlay of `n` peers built under `cfg`.
+std::uint64_t timers_per_quiescent_publish(const service_config& cfg,
+                                           std::size_t n) {
+  service svc(cfg);  // not serving: the calling thread owns the overlay
+  auto& be = svc.backend();
+  util::rng rng(77);
+  std::vector<engine::sub_id> subs;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = rng.uniform_real(0, 900), y = rng.uniform_real(0, 900);
+    subs.push_back(be.subscribe(make_rect2(x, y, x + 100, y + 100)));
+  }
+  int rounds = 0;
+  while (!be.legal() && rounds++ < 300) be.step_round();
+  EXPECT_TRUE(be.legal());
+  // Drain the join backlog: a full background-sweep window.
+  for (std::size_t i = 0; i < be.overlay().config().sweep_stride; ++i) {
+    be.step_round();
+  }
+  auto& ov = be.overlay();
+  const auto before = ov.sim().metrics().timers_fired;
+  (void)ov.publish_and_drain(static_cast<spatial::peer_id>(subs[n / 2]),
+                             spatial::pt{{500, 500}});
+  return ov.sim().metrics().timers_fired - before;
+}
+
+TEST(Service, QuiescentPublishFiresASweepNotARound) {
+  // Each publish drains the hosted overlay's virtual clock by about one
+  // stabilize_period.  In full mode every peer's timer fires in that
+  // span; the daemon's default dirty mode fires the background sweep
+  // (n / sweep_stride), the root, and whatever the publish changed.
+  constexpr std::size_t n = 256;
+  service_config full;
+  full.backend = small_config(3);
+  const auto full_timers = timers_per_quiescent_publish(full, n);
+  service_config dirty;
+  dirty.backend.net.seed = 3;
+  const auto dirty_timers = timers_per_quiescent_publish(dirty, n);
+  const auto stride = dirty.backend.dr.sweep_stride;
+  EXPECT_GE(full_timers, n / 2);
+  EXPECT_LE(dirty_timers, 2 * (n / stride) + 16);
+}
+
+TEST(Service, PublishCostsOneSocketWritePerConnection) {
+  service_config cfg;
+  cfg.backend = small_config(41);
+  service_fixture fx(cfg);
+
+  client pub(fx.port());
+  ASSERT_TRUE(pub.ok());
+  const auto publisher = pub.subscribe(make_rect2(0, 0, 10, 10));
+  ASSERT_NE(publisher, static_cast<std::uint64_t>(engine::kNoSub));
+  // k receiving connections, two matching subscriptions on each.
+  constexpr std::size_t k = 3;
+  std::vector<client> receivers(k);
+  for (auto& r : receivers) {
+    ASSERT_TRUE(r.connect(fx.port()));
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_NE(r.subscribe(make_rect2(400 + i, 400, 600, 600)),
+                static_cast<std::uint64_t>(engine::kNoSub));
+    }
+  }
+
+  const auto before = fx.get().stats_snapshot();
+  const auto report = pub.publish(publisher, spatial::pt{{500, 500}});
+  const auto after = fx.get().stats_snapshot();
+  ASSERT_EQ(report.ok, 1u);
+  // Deliveries include false positives, so there can be more than the 2k
+  // matches; every receiver sits on one of the k + 1 connections.
+  ASSERT_GE(report.delivered, 2 * k);
+  EXPECT_EQ(after.events_pushed - before.events_pushed, report.delivered);
+  // Every push plus the report, in at most one write per connection.
+  EXPECT_EQ(after.frames_out - before.frames_out, report.delivered + 1);
+  EXPECT_LE(after.socket_writes - before.socket_writes, k + 1);
+  for (auto& r : receivers) {
+    EXPECT_TRUE(r.ping());
+    EXPECT_EQ(r.events().size(), 2u);
+  }
+  const auto text = obs::parse_exposition(pub.stats_text());
+  ASSERT_NE(text.count("drtd_socket_writes_total"), 0u);
+  EXPECT_GE(text.at("drtd_socket_writes_total"),
+            static_cast<double>(after.socket_writes));
+}
+
 // ========================================================= introspection
 
 TEST(Service, LiveStatsMidChurn) {
